@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test vet lint archlint bench bench-record experiments verify cover race campaign-smoke fuzz-smoke serve-smoke cluster-smoke clean
+.PHONY: all build test vet lint archlint bench bench-record experiments results-check verify cover race campaign-smoke fuzz-smoke serve-smoke cluster-smoke clean
 
 all: build vet test
 
@@ -55,6 +55,15 @@ bench-record:
 # Regenerate the EXPERIMENTS.md tables (medium scale, recorded seed).
 experiments:
 	go run ./cmd/experiments -scale medium -seed 2006
+
+# Regenerate the medium-scale tables and diff them against the checked-in
+# results/medium.txt, ignoring the per-experiment "(E.., scale=medium,
+# N.Ns)" timing lines. The output does not depend on GOMAXPROCS.
+TIMING_LINES = '^ *\(E[0-9]+, scale=medium, [0-9.]+s\)$$'
+results-check:
+	go run ./cmd/experiments -scale medium -seed 2006 | grep -vE $(TIMING_LINES) > /tmp/results-check.txt
+	grep -vE $(TIMING_LINES) results/medium.txt | diff -u - /tmp/results-check.txt
+	@echo "results-check: results/medium.txt matches the regenerated output"
 
 # Machine-checkable reproduction scorecard: one pass/fail per claim.
 verify:

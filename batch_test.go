@@ -7,6 +7,7 @@ import (
 
 	"repro"
 	"repro/internal/lanes"
+	"repro/internal/protocols"
 	"repro/internal/sweep"
 	"repro/internal/xrand"
 )
@@ -124,5 +125,32 @@ func TestRunBatchEmptyAndCancel(t *testing.T) {
 	cancel()
 	if _, err := repro.RunBatch(g, 0, 8, repro.WithContext(ctx)); !errors.Is(err, repro.ErrCanceled) {
 		t.Fatalf("canceled batch: got %v, want ErrCanceled", err)
+	}
+}
+
+// TestTinyTransmitProbability: a transmit probability whose geometric
+// skips exceed every int must neither panic nor let anyone transmit —
+// neither on the scalar sampled path (Binomial feeding PartialShuffle)
+// nor on the lane path (per-lane skip loops indexing eligible lists).
+func TestTinyTransmitProbability(t *testing.T) {
+	g := batchGraph(t)
+	const budget = 40
+	p := &protocols.Aloha{P: 1e-30}
+	res, err := repro.Run(g, 0, repro.WithProtocol(p), repro.WithMaxRounds(budget), repro.WithSeed(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Completed || res.Informed != 1 || res.Rounds != budget {
+		t.Fatalf("Run: completed=%v informed=%d rounds=%d, want only the source informed after %d rounds",
+			res.Completed, res.Informed, res.Rounds, budget)
+	}
+	got, err := repro.RunBatch(g, 0, 70, repro.WithProtocol(p), repro.WithMaxRounds(budget), repro.WithSeed(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range got {
+		if r != budget+1 {
+			t.Fatalf("RunBatch trial %d: round %d, want the incomplete sentinel %d", i, r, budget+1)
+		}
 	}
 }

@@ -32,6 +32,14 @@ func TestGnpExtremes(t *testing.T) {
 	if g := Gnp(100, 0, rng); g.M() != 0 {
 		t.Fatalf("Gnp p=0 has %d edges", g.M())
 	}
+	// Skips for p this small saturate (xrand.MaxSkip) instead of wrapping
+	// negative.
+	if g := Gnp(100, 1e-30, rng); g.M() != 0 {
+		t.Fatalf("Gnp p=1e-30 has %d edges", g.M())
+	}
+	if g := SBM([]int{50, 50}, 1e-30, 1e-30, rng); g.M() != 0 {
+		t.Fatalf("SBM p=1e-30 has %d edges", g.M())
+	}
 	if g := Gnp(50, 1, rng); g.M() != 50*49/2 {
 		t.Fatalf("Gnp p=1 has %d edges, want %d", g.M(), 50*49/2)
 	}

@@ -19,10 +19,11 @@
 //     Θ(log n).
 //   - SequenceProtocol + OptimizeSequence: Theorem 8 restricts protocols
 //     to decisions computable from (n, p, t); such a protocol is exactly a
-//     transmit-probability sequence q_t shared by all informed nodes. The
-//     optimizer searches a broad family of sequences and reports the best
-//     completion time found, which should still be Ω(ln n) (experiment
-//     E6).
+//     transmit-probability sequence q_t shared by all informed nodes, so
+//     every round is uniform (radio.UniformProtocol) and runs on the
+//     sampled-transmitter and lane fast paths. The optimizer searches a
+//     broad family of sequences and reports the best completion time
+//     found, which should still be Ω(ln n) (experiment E6).
 package lower
 
 import (
@@ -138,48 +139,50 @@ func GreedyAdaptiveSchedule(g *graph.Graph, src int32, maxRounds int) (*radio.Sc
 // SurvivorProbe Monte-Carlos the counting core of the Theorem 6 proof at
 // p = 1/2. For each trial it samples, over a fresh G(n, 1/2)-style edge
 // indicator per (node, set) pair, a sequence of k disjoint transmit sets
-// of size 1 or 2 (as the proof reduces every schedule to), and counts the
-// nodes that survive all k rounds uninformed: a node survives a 1-set by
-// having no edge to it (probability 1/2) and a 2-set by having edges to
-// both members (collision, probability 1/4) or neither (silence, 1/4).
+// of size 1 or 2 (as the proof reduces every schedule to), and asks
+// whether some node survives all k rounds uninformed: a node survives a
+// 1-set by having no edge to it (probability 1/2) and a 2-set by having
+// edges to both members (collision, probability 1/4) or neither (silence,
+// 1/4).
 //
 // Because edges to distinct disjoint sets are independent, the survival
 // indicator per node is an independent product — the probe samples it
 // directly rather than materialising the graph, matching the proof's
-// calculation. It returns the fraction of trials in which at least one of
-// n nodes survives k rounds.
+// calculation. Each step is a 2-set with probability pairFraction, so a
+// node survives a step with probability
+//
+//	s = pairFraction·½ + (1−pairFraction)·½
+//
+// and all k steps with probability s^k, independently of every other
+// node. Scanning the nodes in order, the index of the first survivor is
+// therefore Geometric(s^k), and a trial has a survivor iff that index is
+// below n. The probe draws the index by geometric skipping, as the
+// G(n, p) generator does, so a trial costs one draw instead of O(n·k).
+// It returns the fraction of trials in which at least one of n nodes
+// survives k rounds.
 func SurvivorProbe(n, k, trials int, pairFraction float64, rng *xrand.Rand) float64 {
 	if trials <= 0 {
 		return math.NaN()
 	}
+	const (
+		survivePair   = 0.5 // P(e1 == e2): collision or silence
+		surviveSingle = 0.5 // P(no edge)
+	)
+	s := pairFraction*survivePair + (1-pairFraction)*surviveSingle
+	sk := math.Pow(s, float64(k))
 	surviveTrials := 0
-	for t := 0; t < trials; t++ {
-		found := false
-		for v := 0; v < n && !found; v++ {
-			alive := true
-			for i := 0; i < k; i++ {
-				if rng.Float64() < pairFraction {
-					// 2-set: survive iff both or neither edge present.
-					e1 := rng.Bool()
-					e2 := rng.Bool()
-					if e1 != e2 {
-						alive = false
-						break
-					}
-				} else {
-					// 1-set: survive iff no edge.
-					if rng.Bool() {
-						alive = false
-						break
-					}
-				}
+	switch {
+	case n <= 0 || sk <= 0:
+		// No nodes, or s^k underflowed to 0: P(survivor) <= n·s^k is
+		// far below the resolution of any trial count.
+	case sk >= 1:
+		surviveTrials = trials
+	default:
+		log1mp := math.Log1p(-sk)
+		for t := 0; t < trials; t++ {
+			if rng.GeometricLog(log1mp) < n {
+				surviveTrials++
 			}
-			if alive {
-				found = true
-			}
-		}
-		if found {
-			surviveTrials++
 		}
 	}
 	return float64(surviveTrials) / float64(trials)
@@ -217,13 +220,23 @@ type SequenceProtocol struct {
 
 // Transmit implements radio.Protocol.
 func (s *SequenceProtocol) Transmit(v int32, round int, informedAt int32, rng *xrand.Rand) bool {
-	if len(s.Q) == 0 {
-		return false
-	}
-	return rng.Bernoulli(s.Q[(round-1)%len(s.Q)])
+	q, _, _ := s.RoundProb(round)
+	return rng.Bernoulli(q)
 }
 
-var _ radio.Protocol = (*SequenceProtocol)(nil)
+// RoundProb implements radio.UniformProtocol: an oblivious sequence is
+// uniform by construction — every informed node transmits with the same
+// Q[(round-1) mod len(Q)] — so protocol runners sample its transmitter
+// sets in O(k) and trial batches run on the lane engine. An empty
+// sequence never transmits.
+func (s *SequenceProtocol) RoundProb(round int) (float64, radio.Cohort, bool) {
+	if len(s.Q) == 0 {
+		return 0, radio.AllInformed, true
+	}
+	return s.Q[(round-1)%len(s.Q)], radio.AllInformed, true
+}
+
+var _ radio.UniformProtocol = (*SequenceProtocol)(nil)
 
 // CandidateSequences returns a broad family of transmit-probability
 // sequences for a graph with expected degree d: constants at several
@@ -284,7 +297,9 @@ func CandidateSequences(d float64, period int) []*SequenceProtocol {
 // OptimizeSequence evaluates every candidate sequence on the graph over
 // the given number of trials and returns the best (smallest) mean
 // completion time found and the protocol achieving it. Incomplete runs
-// count as maxRounds+1.
+// count as maxRounds+1. Candidates are uniform protocols, so each trial
+// samples its per-round transmitter set in O(k) (radio.BroadcastTimeOn's
+// sampled path) rather than flipping a coin per informed node.
 func OptimizeSequence(g *graph.Graph, src int32, d float64, maxRounds, trials int, rng *xrand.Rand) (float64, *SequenceProtocol) {
 	period := int(math.Ceil(math.Log2(float64(g.N()) + 2)))
 	cands := CandidateSequences(d, period)

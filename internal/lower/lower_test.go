@@ -1,13 +1,18 @@
 package lower
 
 import (
+	"context"
 	"math"
+	"sort"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/lanes"
 	"repro/internal/radio"
+	"repro/internal/sweep"
 	"repro/internal/xrand"
 )
 
@@ -130,16 +135,99 @@ func TestSurvivorProbeExtremes(t *testing.T) {
 	}
 }
 
+// survivorProbeScan is the direct per-vertex reference for SurvivorProbe:
+// every trial walks the vertices in order, flipping the set shape and
+// edge coins of each step until a vertex survives all k steps, for
+// O(n·k) draws per trial.
+func survivorProbeScan(n, k, trials int, pairFraction float64, rng *xrand.Rand) float64 {
+	if trials <= 0 {
+		return math.NaN()
+	}
+	surviveTrials := 0
+	for t := 0; t < trials; t++ {
+		found := false
+		for v := 0; v < n && !found; v++ {
+			alive := true
+			for i := 0; i < k; i++ {
+				if rng.Float64() < pairFraction {
+					// 2-set: survive iff both or neither edge present.
+					if rng.Bool() != rng.Bool() {
+						alive = false
+						break
+					}
+				} else if rng.Bool() {
+					// 1-set: survive iff no edge.
+					alive = false
+					break
+				}
+			}
+			found = alive
+		}
+		if found {
+			surviveTrials++
+		}
+	}
+	return float64(surviveTrials) / float64(trials)
+}
+
+// TestSurvivorProbeMatchesTheory checks the geometric-skip probe and the
+// per-vertex scan against P(some of n survives k steps) = 1−(1−s^k)^n,
+// s = 1/2 for every pair fraction (both-or-neither edges to a 2-set, no
+// edge to a 1-set), within five standard errors; the degenerate k = 0 and
+// underflowing k = 2^20 cases are exact.
 func TestSurvivorProbeMatchesTheory(t *testing.T) {
-	// With only pair sets (pairFraction 1), per-node survival is (1/2)^k
-	// (both-or-neither = 1/2 each round). P(some of n survives) =
-	// 1 - (1 - 2^-k)^n.
-	rng := xrand.New(5)
-	n, k := 50, 8
-	want := 1 - math.Pow(1-math.Pow(0.5, float64(k)), float64(n))
-	got := SurvivorProbe(n, k, 5000, 1, rng)
-	if math.Abs(got-want) > 0.03 {
-		t.Fatalf("survivor prob %v, theory %v", got, want)
+	cases := []struct {
+		n, k       int
+		pf         float64
+		scanTrials int // 0: the scan is too slow at this size
+	}{
+		{100, 0, 0.5, 200},
+		{50, 8, 0, 4000},
+		{50, 8, 0.5, 4000},
+		{50, 8, 1, 4000},
+		{1000, 10, 0.5, 1000},
+		{1000, 1 << 20, 0.5, 20},
+		{1 << 20, 18, 0.5, 16},
+		{1 << 20, 24, 0.5, 0},
+		{1 << 20, 1 << 20, 1, 0},
+	}
+	const trials = 20000
+	rng := xrand.New(11)
+	for _, tc := range cases {
+		want := 1 - math.Pow(1-math.Pow(0.5, float64(tc.k)), float64(tc.n))
+		check := func(name string, got float64, trials int) {
+			tol := 5 * math.Sqrt(want*(1-want)/float64(trials))
+			if math.Abs(got-want) > tol {
+				t.Errorf("%s(n=%d, k=%d, pf=%g) = %v, closed form %v (tol %.3g)", name, tc.n, tc.k, tc.pf, got, want, tol)
+			}
+		}
+		check("SurvivorProbe", SurvivorProbe(tc.n, tc.k, trials, tc.pf, rng), trials)
+		if tc.scanTrials > 0 {
+			check("scan", survivorProbeScan(tc.n, tc.k, tc.scanTrials, tc.pf, rng), tc.scanTrials)
+		}
+	}
+}
+
+// TestSurvivorProbeMatchesScan is a two-sample check at small n: over a
+// range of k around the survivor threshold, the per-k survivor counts of
+// the skip probe and the per-vertex scan must agree (summed 2x2
+// chi-square, one degree of freedom per k, 5-sigma band).
+func TestSurvivorProbeMatchesScan(t *testing.T) {
+	const n, trials = 64, 3000
+	ra, rb := xrand.New(21), xrand.New(22)
+	chi2, df := 0.0, 0
+	for k := 3; k <= 10; k++ {
+		a := SurvivorProbe(n, k, trials, 0.5, ra)
+		b := survivorProbeScan(n, k, trials, 0.5, rb)
+		pool := (a + b) / 2
+		if pool == 0 || pool == 1 {
+			continue
+		}
+		chi2 += (a - b) * (a - b) / (pool * (1 - pool) * 2 / trials)
+		df++
+	}
+	if limit := float64(df) + 5*math.Sqrt(2*float64(df)); chi2 > limit {
+		t.Fatalf("skip probe vs scan: chi2=%.1f df=%d (limit %.1f)", chi2, df, limit)
 	}
 }
 
@@ -175,6 +263,120 @@ func TestSequenceProtocol(t *testing.T) {
 	if empty.Transmit(0, 1, 0, rng) {
 		t.Fatal("empty sequence transmitted")
 	}
+}
+
+func TestSequenceProtocolRoundProb(t *testing.T) {
+	p := &SequenceProtocol{Q: []float64{0.25, 1, 0}}
+	for round, want := range map[int]float64{1: 0.25, 2: 1, 3: 0, 4: 0.25, 8: 1} {
+		q, cohort, ok := p.RoundProb(round)
+		if !ok || q != want || cohort != radio.AllInformed {
+			t.Fatalf("round %d: RoundProb = (%v, %v, %v), want (%v, AllInformed, true)", round, q, cohort, ok, want)
+		}
+	}
+	if q, _, ok := (&SequenceProtocol{}).RoundProb(1); !ok || q != 0 {
+		t.Fatalf("empty sequence: RoundProb = (%v, %v), want (0, true)", q, ok)
+	}
+}
+
+// sequenceFixture is a flood-then-select oblivious sequence on a
+// connected G(n, p) graph with d = 2 ln n, E6's regime.
+func sequenceFixture(t testing.TB) (*graph.Graph, *SequenceProtocol, int) {
+	const n = 400
+	d := 2 * math.Log(n)
+	q := make([]float64, 40)
+	for i := range q {
+		q[i] = 1 / d
+	}
+	q[0], q[1] = 1, 1
+	return connected(t, n, d, 31), &SequenceProtocol{Q: q}, core.MaxRoundsFor(n)
+}
+
+// TestSequenceProtocolRunsOnLanes: oblivious sequence batches classify
+// onto the lane engine and run there without a scalar fallback.
+func TestSequenceProtocolRunsOnLanes(t *testing.T) {
+	g, p, maxRounds := sequenceFixture(t)
+	req := &exec.Request{Graph: g, Sources: []int32{0}, Protocol: p, MaxRounds: maxRounds}
+	if got := exec.ClassifyBatch(req); got != exec.BackendLanes {
+		t.Fatalf("ClassifyBatch = %v, want lanes", got)
+	}
+	x := exec.New()
+	out := make([]int, 100)
+	backend, err := x.RunSeeds(context.Background(), req, sweep.Seeds(len(out), 3), out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := x.Snapshot()
+	if backend != exec.BackendLanes || st.Scalar.Fallbacks != 0 || st.Lanes.Trials != int64(len(out)) {
+		t.Fatalf("backend %v, counters %+v: want %d lane trials and no fallback", backend, st, len(out))
+	}
+}
+
+// TestSequenceProtocolPathsAgree: the sampled scalar path and the lane
+// engine reproduce the completion-round law of the per-node stream.
+func TestSequenceProtocolPathsAgree(t *testing.T) {
+	g, p, maxRounds := sequenceFixture(t)
+	const trials = 800
+	seeds := sweep.Seeds(trials, 41)
+	e := radio.NewEngine(g, 0, radio.StrictInformed)
+	sampled, perNode := make([]int, trials), make([]int, trials)
+	for i, s := range seeds {
+		sampled[i] = radio.BroadcastTimeOn(e, p, maxRounds, xrand.New(s))
+	}
+	e.SetPerNodeSampling(true)
+	for i, s := range seeds {
+		perNode[i] = radio.BroadcastTimeOn(e, p, maxRounds, xrand.New(s))
+	}
+	plan, ok := lanes.NewPlan(p, maxRounds)
+	if !ok {
+		t.Fatal("sequence protocol has no lane plan")
+	}
+	lane := make([]int, trials)
+	if err := lanes.RunBlocks(context.Background(), g, []int32{0}, plan, seeds, 0, 0, lane); err != nil {
+		t.Fatal(err)
+	}
+	for name, got := range map[string][]int{"sampled": sampled, "lanes": lane} {
+		chi2, df := chiSquareTwoSample(got, perNode)
+		if limit := float64(df) + 5*math.Sqrt(2*float64(df)); chi2 > limit {
+			t.Errorf("%s vs per-node completion rounds: chi2=%.1f df=%d (limit %.1f)", name, chi2, df, limit)
+		}
+	}
+}
+
+// chiSquareTwoSample compares two equal-size samples of completion rounds,
+// merging adjacent rounds until each bin holds at least 20 pooled
+// samples, and returns the statistic with its degrees of freedom.
+func chiSquareTwoSample(a, b []int) (float64, int) {
+	ha, hb := map[int]int{}, map[int]int{}
+	for i := range a {
+		ha[a[i]]++
+		hb[b[i]]++
+	}
+	var rounds []int
+	for r := range ha {
+		rounds = append(rounds, r)
+	}
+	for r := range hb {
+		if ha[r] == 0 {
+			rounds = append(rounds, r)
+		}
+	}
+	sort.Ints(rounds)
+	chi2, bins := 0.0, 0
+	ca, cb := 0, 0
+	flush := func() {
+		d := float64(ca - cb)
+		chi2 += d * d / float64(ca+cb)
+		bins++
+		ca, cb = 0, 0
+	}
+	for i, r := range rounds {
+		ca += ha[r]
+		cb += hb[r]
+		if ca+cb >= 20 || (i == len(rounds)-1 && ca+cb > 0) {
+			flush()
+		}
+	}
+	return chi2, bins - 1
 }
 
 func TestCandidateSequencesValid(t *testing.T) {
@@ -231,5 +433,14 @@ func BenchmarkSurvivorProbe(b *testing.B) {
 	rng := xrand.New(1)
 	for i := 0; i < b.N; i++ {
 		SurvivorProbe(1000, 20, 100, 0.5, rng)
+	}
+}
+
+// BenchmarkSurvivorThreshold runs E3b's medium-scale search: n = 2^20,
+// 400 probe trials per k.
+func BenchmarkSurvivorThreshold(b *testing.B) {
+	rng := xrand.New(1)
+	for i := 0; i < b.N; i++ {
+		SurvivorThreshold(1<<20, 400, 0.5, rng)
 	}
 }

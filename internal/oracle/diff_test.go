@@ -25,6 +25,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/lower"
 	"repro/internal/protocols"
 	"repro/internal/radio"
 	"repro/internal/trace"
@@ -56,14 +57,15 @@ func randomCase(crng *xrand.Rand) (g *graph.Graph, src int32, seed uint64) {
 }
 
 // randomProtocol draws a protocol covering flooding, kick-off and
-// selective uniform rounds, restricted cohorts, and (when perNodeOnly
+// selective uniform rounds, restricted cohorts, the oblivious
+// transmit-probability sequences of Theorem 8, and (when perNodeOnly
 // protocols are allowed) a non-uniform protocol that forces the engine's
 // per-node fallback even on the sampled path.
 func randomProtocol(crng *xrand.Rand, n int, includeNonUniform bool) (radio.Protocol, string) {
 	d := 2 + crng.Float64()*10
-	k := 4
+	k := 5
 	if includeNonUniform {
-		k = 5
+		k = 6
 	}
 	switch crng.Intn(k) {
 	case 0:
@@ -74,6 +76,10 @@ func randomProtocol(crng *xrand.Rand, n int, includeNonUniform bool) (radio.Prot
 		return protocols.NewDecay(n), "decay"
 	case 3:
 		return protocols.NewAloha(d), fmt.Sprintf("aloha(d=%.2f)", d)
+	case 4:
+		cands := lower.CandidateSequences(d, 1+crng.Intn(8))
+		i := crng.Intn(len(cands))
+		return cands[i], fmt.Sprintf("sequence(d=%.2f #%d)", d, i)
 	default:
 		return &protocols.RoundRobin{N: n}, "roundrobin"
 	}

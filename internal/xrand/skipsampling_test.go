@@ -105,3 +105,79 @@ func TestReseedMatchesNew(t *testing.T) {
 		}
 	}
 }
+
+// tinyPs are success probabilities whose real-valued geometric skips
+// exceed every int (or are +Inf); unbounded int conversion wrapped them
+// to math.MinInt64.
+var tinyPs = []float64{1e-20, 1e-30, 1e-300, 5e-324}
+
+// TestGeometricSkipsNeverNegative: every skip sampler saturates at
+// MaxSkip instead of wrapping negative, and a saturated skip cannot
+// overflow the skip loop's i += 1 + skip.
+func TestGeometricSkipsNeverNegative(t *testing.T) {
+	r := xrand.New(3)
+	for _, p := range tinyPs {
+		lam := -math.Log1p(-p)
+		for i := 0; i < 1000; i++ {
+			for name, k := range map[string]int{
+				"Geometric":    r.Geometric(p),
+				"GeometricLog": r.GeometricLog(math.Log1p(-p)),
+				"GeometricExp": r.GeometricExp(lam),
+			} {
+				if k < 0 || k > xrand.MaxSkip {
+					t.Fatalf("%s(p=%g) = %d outside [0, MaxSkip]", name, p, k)
+				}
+			}
+		}
+	}
+	// log1mp = -0 (p underflowed to 0) and a zero uniform give 0/0.
+	for i := 0; i < 1000; i++ {
+		if k := r.GeometricLog(math.Copysign(0, -1)); k != xrand.MaxSkip {
+			t.Fatalf("GeometricLog(-0) = %d, want MaxSkip", k)
+		}
+	}
+	if i := xrand.MaxSkip; i+1+xrand.MaxSkip < i {
+		t.Fatal("MaxSkip + 1 + MaxSkip overflows")
+	}
+}
+
+// TestGeometricInRangeUnchanged: saturation must not move any in-range
+// sample — recorded G(n,p) graphs and lane streams depend on it.
+func TestGeometricInRangeUnchanged(t *testing.T) {
+	for _, p := range []float64{0.9, 0.5, 0.04, 1e-3, 1e-6, 1e-12} {
+		log1mp, lam := math.Log1p(-p), -math.Log1p(-p)
+		a, b := xrand.New(17), xrand.New(17)
+		c, d := xrand.New(18), xrand.New(18)
+		for i := 0; i < 4096; i++ {
+			if got, want := a.GeometricLog(log1mp), int(math.Floor(math.Log1p(-b.Float64())/log1mp)); got != want {
+				t.Fatalf("GeometricLog(p=%g) draw %d: %d, want %d", p, i, got, want)
+			}
+			if got, want := c.GeometricExp(lam), int(d.ExpZiggurat()/lam); got != want {
+				t.Fatalf("GeometricExp(p=%g) draw %d: %d, want %d", p, i, got, want)
+			}
+		}
+	}
+}
+
+// TestBinomialStaysInRange: Binomial and BinomialExp return a count in
+// [0, n] for every p, including probabilities whose skips saturate and
+// their p > 0.5 mirrors.
+func TestBinomialStaysInRange(t *testing.T) {
+	r := xrand.New(5)
+	ps := append([]float64{0, 1, 0.5}, tinyPs...)
+	for _, p := range tinyPs {
+		ps = append(ps, 1-p)
+	}
+	for _, n := range []int{0, 1, 10, 1000} {
+		for _, p := range ps {
+			for i := 0; i < 200; i++ {
+				if k := r.Binomial(n, p); k < 0 || k > n {
+					t.Fatalf("Binomial(%d, %g) = %d", n, p, k)
+				}
+				if k := r.BinomialExp(n, p); k < 0 || k > n {
+					t.Fatalf("BinomialExp(%d, %g) = %d", n, p, k)
+				}
+			}
+		}
+	}
+}

@@ -174,9 +174,20 @@ func (r *Rand) Bernoulli(p float64) bool {
 	return r.Float64() < p
 }
 
+// MaxSkip is the saturation cap of the geometric skip samplers
+// (Geometric, GeometricLog, GeometricExp). For a tiny success probability
+// the real-valued skip exceeds every int (or is +Inf), and converting it
+// unbounded wraps to a negative number; the samplers return MaxSkip
+// instead. MaxSkip is half the int range, so a skip loop's
+// i += 1 + skip cannot overflow for any index i <= MaxSkip, and a
+// saturated skip always lands past every slice length and pair count the
+// callers walk. Samples below the cap are unchanged, bit for bit.
+const MaxSkip = math.MaxInt >> 1
+
 // Geometric returns the number of failures before the first success in a
 // sequence of Bernoulli(p) trials, i.e. a sample from the geometric
-// distribution on {0, 1, 2, ...}. It panics unless 0 < p <= 1.
+// distribution on {0, 1, 2, ...}, saturated at MaxSkip. It panics unless
+// 0 < p <= 1.
 //
 // This is the skip length used by the G(n,p) generator: instead of flipping
 // a coin per candidate edge, the generator jumps Geometric(p) candidates at
@@ -198,7 +209,11 @@ func (r *Rand) Geometric(p float64) int {
 func (r *Rand) GeometricLog(log1mp float64) int {
 	u := r.Float64()
 	// Avoid log(0); Float64 is in [0,1) so 1-u is in (0,1].
-	return int(math.Floor(math.Log1p(-u) / log1mp))
+	x := math.Floor(math.Log1p(-u) / log1mp)
+	if x < MaxSkip {
+		return int(x)
+	}
+	return MaxSkip // also catches the NaN of u = 0 over log1mp = -0
 }
 
 // Binomial returns a sample from Binomial(n, p). For small n·p it counts
@@ -218,11 +233,13 @@ func (r *Rand) Binomial(n int, p float64) int {
 	if p > 0.5 {
 		return n - r.Binomial(n, 1-p)
 	}
+	// GeometricLog with the hoisted logarithm is bitwise Geometric(p).
+	log1mp := math.Log1p(-p)
 	count := 0
-	i := r.Geometric(p)
+	i := r.GeometricLog(log1mp)
 	for i < n {
 		count++
-		i += 1 + r.Geometric(p)
+		i += 1 + r.GeometricLog(log1mp)
 	}
 	return count
 }
@@ -232,9 +249,13 @@ func (r *Rand) Binomial(n int, p float64) int {
 // ziggurat sampler instead of a logarithm: floor(Exp(1)/lambda) is exactly
 // geometrically distributed with success probability p. Same distribution
 // as Geometric(p), different stream, and roughly 3x cheaper per draw — the
-// lane engine's per-lane binomial sampling sits on this.
+// lane engine's per-lane binomial sampling sits on this. Like Geometric it
+// saturates at MaxSkip.
 func (r *Rand) GeometricExp(lambda float64) int {
-	return int(r.ExpZiggurat() / lambda)
+	if x := r.ExpZiggurat() / lambda; x < MaxSkip {
+		return int(x)
+	}
+	return MaxSkip
 }
 
 // BinomialExp returns a sample from Binomial(n, p) by counting
@@ -357,10 +378,11 @@ func (r *Rand) SubsetEach(dst, s []int32, p float64) []int32 {
 	if p >= 1 {
 		return append(dst, s...)
 	}
-	i := r.Geometric(p)
+	log1mp := math.Log1p(-p)
+	i := r.GeometricLog(log1mp)
 	for i < len(s) {
 		dst = append(dst, s[i])
-		i += 1 + r.Geometric(p)
+		i += 1 + r.GeometricLog(log1mp)
 	}
 	return dst
 }
