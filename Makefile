@@ -31,12 +31,15 @@ cover:
 bench:
 	go test -bench=. -benchmem ./...
 
-# Regenerate BENCH_3.json: run the scalar reference and both lane
-# benchmarks, then let scripts/benchrecord parse the output, enforce the
-# >= 6x acceptance bar vs BENCH_2's recorded scalar trial cost, and write
-# the record. Override DATE to restamp (same input + same DATE => same
+# Regenerate BENCH_3.json, BENCH_4.json and BENCH_5.json: run the
+# scalar reference and the lane benchmarks, then let scripts/benchrecord
+# parse the output, enforce each record's acceptance bar (BENCH_3: >= 6x
+# vs BENCH_2's recorded scalar trial cost; BENCH_4: facade overhead;
+# BENCH_5: facade overhead and B/op at -cpu 1,2) and write the records.
+# Override DATE / BENCH5_DATE to restamp (same input + same date => same
 # JSON, so regeneration is diffable).
 DATE ?= 2026-08-08
+BENCH5_DATE ?= 2026-10-17
 bench-record:
 	go test -run '^$$' -bench 'BenchmarkBroadcastReuse$$|BenchmarkLaneBroadcast$$|BenchmarkLaneBroadcastSmall$$' \
 		-benchmem -benchtime 2s . > /tmp/bench-record.out
@@ -50,7 +53,13 @@ bench-record:
 		-comment "PR 10 acceptance record: facade RunBatch through the unified execution layer (internal/exec) vs the raw lane engine on the same n=100000 d=25 workload, same run. The gate is same-run executor overhead (BenchmarkFacadeRunBatch ns/trial over BenchmarkLaneBroadcast ns/trial), which is portable across machines; a regression that drops the batch path off the lane backend lands near the 7x scalar cost, far above the bar." \
 		-lane-bench BenchmarkFacadeRunBatch -base-bench BenchmarkLaneBroadcast \
 		-max-overhead 1.25 -out BENCH_4.json
-	@echo "bench-record: wrote BENCH_3.json and BENCH_4.json"
+	go test -run '^$$' -bench 'BenchmarkLaneBroadcast$$|BenchmarkFacadeRunBatch$$' \
+		-benchmem -benchtime 2s -cpu 1,2 . > /tmp/bench-record-pool.out
+	go run ./scripts/benchrecord -in /tmp/bench-record-pool.out -date $(BENCH5_DATE) \
+		-comment "Lane-batch sharding and pooling record: facade RunBatch (balanced lane blocks on every core, pooled lane engines, one eligible-list arena per engine) vs the raw lane engine on the same n=100000 d=25 workload, same run, at GOMAXPROCS 1 and 2. The gates are same-run ratios per GOMAXPROCS value: ns/trial overhead <= 1.25x and B/op <= 1.1x of the raw engine's (BENCH_4 had the facade at 133.8 MB/op against 21.7 MB/op)." \
+		-lane-bench BenchmarkFacadeRunBatch -base-bench BenchmarkLaneBroadcast \
+		-max-overhead 1.25 -max-bytes-ratio 1.1 -out BENCH_5.json
+	@echo "bench-record: wrote BENCH_3.json, BENCH_4.json and BENCH_5.json"
 
 # Regenerate the EXPERIMENTS.md tables (medium scale, recorded seed).
 experiments:

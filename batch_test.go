@@ -3,9 +3,12 @@ package repro_test
 import (
 	"context"
 	"errors"
+	"runtime"
+	"slices"
 	"testing"
 
 	"repro"
+	"repro/internal/exec"
 	"repro/internal/lanes"
 	"repro/internal/protocols"
 	"repro/internal/sweep"
@@ -151,6 +154,48 @@ func TestTinyTransmitProbability(t *testing.T) {
 	for i, r := range got {
 		if r != budget+1 {
 			t.Fatalf("RunBatch trial %d: round %d, want the incomplete sentinel %d", i, r, budget+1)
+		}
+	}
+}
+
+// TestRunBatchGomaxprocsInvariance: the default block shape follows
+// GOMAXPROCS (two 32-lane blocks for 64 trials on two CPUs, one 64-lane
+// block on one), but the values never do.
+func TestRunBatchGomaxprocsInvariance(t *testing.T) {
+	g := batchGraph(t)
+	prev := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(prev)
+	for _, trials := range []int{64, 130} {
+		var ref []int
+		for _, procs := range []int{1, 2, 4} {
+			runtime.GOMAXPROCS(procs)
+			got, err := repro.RunBatch(g, 0, trials, repro.WithDegree(12), repro.WithSeed(2006))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ref == nil {
+				ref = got
+				continue
+			}
+			if !slices.Equal(got, ref) {
+				t.Fatalf("%d trials: GOMAXPROCS=%d changed the results", trials, procs)
+			}
+		}
+	}
+}
+
+// TestRunBatchLanePoolBounded: one-shot batches on a stream of fresh
+// graphs of varying size never grow the lane-engine free list beyond
+// GOMAXPROCS — the pool is bounded in total, not per graph.
+func TestRunBatchLanePoolBounded(t *testing.T) {
+	for i := 0; i < 200; i++ {
+		n := 40 + (i*37)%160
+		g := repro.GnpDegree(n, 6, repro.NewRand(uint64(i)+1))
+		if _, err := repro.RunBatch(g, 0, 64, repro.WithDegree(6), repro.WithSeed(uint64(i)+1)); err != nil {
+			t.Fatal(err)
+		}
+		if idle, limit := exec.IdleLaneEngines(), runtime.GOMAXPROCS(0); idle > limit {
+			t.Fatalf("graph %d: %d idle lane engines, above GOMAXPROCS = %d", i, idle, limit)
 		}
 	}
 }

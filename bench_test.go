@@ -249,11 +249,16 @@ func benchLaneBroadcast(b *testing.B, n int, d float64) {
 // BenchmarkFacadeRunBatch is the executor-path guard: the exact
 // BenchmarkLaneBroadcast workload entered through the public facade, so
 // each iteration pays the whole unified execution layer — option parsing,
-// backend classification, seed derivation and lane-engine construction —
-// on top of the 64-trial lane block. Its ns/trial against BENCH_2's
-// scalar reference is recorded in BENCH_4.json with the same >= 6x bar
-// as the raw lane engine: routing every consumer through internal/exec
-// must not cost the batch path its acceptance margin.
+// backend classification, seed derivation, block sharding and pooled
+// lane-engine checkout — on top of the 64 trials, which run as one
+// 64-lane block per GOMAXPROCS=1 and as balanced parallel blocks beyond.
+// Its ns/trial against BENCH_2's scalar reference is recorded in
+// BENCH_4.json with the same >= 6x bar as the raw lane engine: routing
+// every consumer through internal/exec must not cost the batch path its
+// acceptance margin. BENCH_5.json records its ns/trial and B/op against
+// BenchmarkLaneBroadcast at -cpu 1,2; pooled engines keep its B/op
+// within the raw engine's (whose per-op bytes are its one-time
+// eligible-list arena, amortised over the iterations).
 func BenchmarkFacadeRunBatch(b *testing.B) {
 	rng := NewRand(13)
 	const n = 100000
@@ -263,6 +268,13 @@ func BenchmarkFacadeRunBatch(b *testing.B) {
 		b.Fatal("no connected sample")
 	}
 	budget := MaxRounds(n)
+	// One untimed call sizes the pooled lane engines for this GOMAXPROCS
+	// (a -cpu list otherwise charges the first timed call at a new value
+	// for regrowing arenas sized at the previous one), so B/op is the
+	// executor's steady state.
+	if _, err := RunBatch(g, 0, int(lanes.Width), WithDegree(d)); err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

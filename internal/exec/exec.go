@@ -23,6 +23,16 @@
 // (distributionally identical, not bit-identical), and each trial is a
 // pure function of its own derived seed, so dispatch through exec is
 // byte-identical to the per-layer code it replaced.
+//
+// Engine lifecycle: scalar engines are pooled per graph (a bounded LRU
+// keyed by graph pointer); lane engines live in one graph-agnostic free
+// list of at most GOMAXPROCS detached engines, re-targeted on checkout.
+// A one-shot lane batch (RunSeeds) runs balanced blocks on every core
+// (lanes.Shard), one pooled engine per worker, so it neither idles CPUs
+// nor allocates engine state in steady state. Engines return to either
+// pool only on clean completion. Sessions own their engines outright.
+// Every entry point rejects an empty or out-of-range source list with an
+// error wrapping radio.ErrNoSuchSource before any engine is built.
 package exec
 
 import (
@@ -121,7 +131,8 @@ type BackendStats struct {
 	// ran scalar (non-uniform protocol, observer, per-node, forced).
 	Fallbacks int64 `json:"fallbacks"`
 	// PoolHits/PoolMisses count pooled-engine checkouts served from the
-	// per-graph pool vs. built fresh.
+	// pool (per graph for scalar engines, the graph-agnostic free list
+	// for lane engines, one checkout per lane worker) vs. built fresh.
 	PoolHits   int64 `json:"pool_hits"`
 	PoolMisses int64 `json:"pool_misses"`
 }
@@ -159,9 +170,9 @@ type poolEntry struct {
 }
 
 // Executor classifies requests onto backends, pools scalar engines per
-// graph, and counts every dispatch. The zero value is not ready; use
-// New (isolated, e.g. for tests) or Default (the process-wide instance
-// every layer shares).
+// graph and lane engines in one graph-agnostic free list, and counts
+// every dispatch. The zero value is not ready; use New (isolated, e.g.
+// for tests) or Default (the process-wide instance every layer shares).
 type Executor struct {
 	graphCap  int // max graphs with pooled engines (LRU beyond)
 	engineCap int // max idle engines kept per graph
@@ -169,6 +180,13 @@ type Executor struct {
 	mu      sync.Mutex
 	entries map[*graph.Graph]*list.Element
 	order   *list.List // front = most recently used
+
+	// laneIdle is the lane-engine free list: detached engines (no graph,
+	// sources or plan referenced) that any batch on a graph of at most
+	// their vertex capacity can check out. At most GOMAXPROCS are kept —
+	// lane engines are tens of MB at n = 1e5, so they are bounded in
+	// total, not per graph. Guarded by mu.
+	laneIdle []*lanes.Engine
 
 	c [numBackends]counters
 }
@@ -229,6 +247,9 @@ func ClassifyBatch(req *Request) Backend {
 // canceled ctx returns the partial Result and an error wrapping
 // radio.ErrCanceled.
 func (x *Executor) Run(ctx context.Context, req *Request, rng *xrand.Rand) (radio.Result, error) {
+	if err := checkSources(req); err != nil {
+		return radio.Result{}, err
+	}
 	if req.Schedule != nil {
 		x.c[BackendSchedule].runs.Add(1)
 		x.c[BackendSchedule].trials.Add(1)
@@ -250,6 +271,9 @@ func (x *Executor) Run(ctx context.Context, req *Request, rng *xrand.Rand) (radi
 // completion round (maxRounds+1 if the broadcast did not finish) — the
 // allocation-free twin of Run for measurement loops.
 func (x *Executor) Time(ctx context.Context, req *Request, rng *xrand.Rand) (int, error) {
+	if err := checkSources(req); err != nil {
+		return 0, err
+	}
 	e, pooled := x.checkout(req)
 	x.c[BackendScalar].runs.Add(1)
 	x.c[BackendScalar].trials.Add(1)
@@ -262,12 +286,13 @@ func (x *Executor) Time(ctx context.Context, req *Request, rng *xrand.Rand) (int
 
 // RunSeeds executes one trial per seed, out[i] receiving seed i's
 // completion round, and reports the backend that ran. Lane-classified
-// batches run lanes.RunBlocks (block-sharded across a worker pool);
-// everything else falls back to per-seed scalar trials on a private
-// worker pool, one engine per worker. Either way trial i is a pure
-// function of seeds[i]: results are bitwise independent of worker
-// count, sharding and GOMAXPROCS. On cancellation the error wraps
-// radio.ErrCanceled and out's unfinished entries are unspecified.
+// batches run balanced lane blocks (lanes.Shard) on pooled lane engines,
+// one per worker; everything else falls back to per-seed scalar trials
+// on a private worker pool, one engine per worker. Either way trial i is
+// a pure function of seeds[i]: results are bitwise independent of worker
+// count, sharding and GOMAXPROCS. An empty or out-of-range source list
+// is an error wrapping radio.ErrNoSuchSource. On cancellation the error
+// wraps radio.ErrCanceled and out's unfinished entries are unspecified.
 func (x *Executor) RunSeeds(ctx context.Context, req *Request, seeds []uint64, out []int) (Backend, error) {
 	if req.Schedule != nil {
 		return BackendSchedule, fmt.Errorf("exec: schedule replay is single-trial; RunSeeds takes protocols")
@@ -275,18 +300,122 @@ func (x *Executor) RunSeeds(ctx context.Context, req *Request, seeds []uint64, o
 	if len(seeds) != len(out) {
 		return BackendScalar, fmt.Errorf("exec: %d seeds but %d result slots", len(seeds), len(out))
 	}
+	if err := checkSources(req); err != nil {
+		return ClassifyBatch(req), err
+	}
 	if len(seeds) == 0 {
 		return ClassifyBatch(req), nil
 	}
 	if plan, ok := x.batchPlan(req); ok {
 		x.c[BackendLanes].runs.Add(1)
 		x.c[BackendLanes].trials.Add(int64(len(seeds)))
-		return BackendLanes, lanes.RunBlocks(ctx, req.Graph, req.Sources, plan, seeds, 0, 0, out)
+		return BackendLanes, x.runLanes(ctx, req, plan, seeds, out)
 	}
 	x.c[BackendScalar].runs.Add(1)
 	x.c[BackendScalar].trials.Add(int64(len(seeds)))
 	x.c[BackendScalar].fallbacks.Add(1)
 	return BackendScalar, x.runSeedsScalar(ctx, req, seeds, out)
+}
+
+// checkSources rejects a request whose source list is empty or names a
+// vertex outside [0, n) — before any engine is built, so a bad source is
+// an error on the caller's goroutine instead of a panic on a worker's.
+func checkSources(req *Request) error {
+	if len(req.Sources) == 0 {
+		return fmt.Errorf("exec: %w: empty source list", radio.ErrNoSuchSource)
+	}
+	n := req.Graph.N()
+	for _, s := range req.Sources {
+		if s < 0 || int(s) >= n {
+			return fmt.Errorf("exec: %w: source %d outside [0,%d)", radio.ErrNoSuchSource, s, n)
+		}
+	}
+	return nil
+}
+
+// runLanes runs a lane-classified batch: balanced blocks on pooled lane
+// engines, one per worker. The engines go back to the free list only on
+// clean completion — a canceled run (or a panicking one) abandons them
+// to the GC, the same rule as for pooled scalar engines.
+func (x *Executor) runLanes(ctx context.Context, req *Request, plan *lanes.Plan, seeds []uint64, out []int) error {
+	width, workers := lanes.Shard(len(seeds), 0, 0)
+	engines := x.acquireLanes(req, plan, workers)
+	if err := lanes.RunBlocksOn(ctx, engines, seeds, width, out); err != nil {
+		return err
+	}
+	x.releaseLanes(engines)
+	return nil
+}
+
+// acquireLanes checks k lane engines out of the free list, each the
+// smallest idle engine whose vertex capacity fits req.Graph, and builds
+// the rest fresh; every engine comes back targeted at req.
+func (x *Executor) acquireLanes(req *Request, plan *lanes.Plan, k int) []*lanes.Engine {
+	n := req.Graph.N()
+	engines := make([]*lanes.Engine, k)
+	x.mu.Lock()
+	for i := range engines {
+		best := -1
+		for j, e := range x.laneIdle {
+			if e.Cap() >= n && (best < 0 || e.Cap() < x.laneIdle[best].Cap()) {
+				best = j
+			}
+		}
+		if best < 0 {
+			break
+		}
+		engines[i] = x.takeIdle(best)
+	}
+	x.mu.Unlock()
+	for i, e := range engines {
+		if e == nil {
+			x.c[BackendLanes].poolMisses.Add(1)
+			engines[i] = lanes.NewEngine(req.Graph, req.Sources, plan)
+			continue
+		}
+		x.c[BackendLanes].poolHits.Add(1)
+		e.Retarget(req.Graph, req.Sources, plan)
+	}
+	return engines
+}
+
+// releaseLanes detaches engines and checks them into the free list,
+// dropping the smallest-capacity idle engines beyond GOMAXPROCS.
+func (x *Executor) releaseLanes(engines []*lanes.Engine) {
+	for _, e := range engines {
+		e.Detach()
+	}
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	x.laneIdle = append(x.laneIdle, engines...)
+	for limit := runtime.GOMAXPROCS(0); len(x.laneIdle) > limit; {
+		small := 0
+		for j, e := range x.laneIdle {
+			if e.Cap() < x.laneIdle[small].Cap() {
+				small = j
+			}
+		}
+		x.takeIdle(small)
+	}
+}
+
+// takeIdle removes and returns idle lane engine j (order is irrelevant,
+// so the last one fills its slot). The caller holds mu.
+func (x *Executor) takeIdle(j int) *lanes.Engine {
+	e := x.laneIdle[j]
+	last := len(x.laneIdle) - 1
+	x.laneIdle[j] = x.laneIdle[last]
+	x.laneIdle[last] = nil
+	x.laneIdle = x.laneIdle[:last]
+	return e
+}
+
+// IdleLaneEngines reports how many lane engines the free list holds
+// (at most GOMAXPROCS).
+func (x *Executor) IdleLaneEngines() int {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	return len(x.laneIdle)
 }
 
 // batchPlan returns the lane plan for a batch of req, if lanes are the
@@ -589,3 +718,6 @@ func Forget(g *graph.Graph) { std.Forget(g) }
 
 // Snapshot returns the default executor's counters.
 func Snapshot() Stats { return std.Snapshot() }
+
+// IdleLaneEngines reports the default executor's idle lane engines.
+func IdleLaneEngines() int { return std.IdleLaneEngines() }

@@ -3,6 +3,8 @@ package exec_test
 import (
 	"context"
 	"errors"
+	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -373,5 +375,143 @@ func TestRunPooled(t *testing.T) {
 	st := x.Snapshot()
 	if st.Scalar.PoolMisses != 1 || st.Scalar.PoolHits != 1 {
 		t.Errorf("pool counters = %+v, want one miss then one hit", st.Scalar)
+	}
+}
+
+// TestBadSourcesAreErrors: an empty or out-of-range source list is an
+// error wrapping radio.ErrNoSuchSource from every entry point — never a
+// panic, in particular not on a lane worker goroutine where no caller
+// could recover it.
+func TestBadSourcesAreErrors(t *testing.T) {
+	x := exec.New()
+	g := gen.Gnp(200, 6.0/200, xrand.New(3))
+	p := core.NewDistributedProtocol(200, 6)
+	seeds := sweep.Seeds(128, 1)
+	out := make([]int, len(seeds))
+	for _, sources := range [][]int32{nil, {500}, {0, 200}, {-1}} {
+		req := &exec.Request{Graph: g, Sources: sources, Protocol: p, MaxRounds: core.MaxRoundsFor(200)}
+		if _, err := x.RunSeeds(context.Background(), req, seeds, out); !errors.Is(err, radio.ErrNoSuchSource) {
+			t.Errorf("RunSeeds(sources %v): err = %v, want ErrNoSuchSource", sources, err)
+		}
+		scalar := *req
+		scalar.ForceScalar = true
+		if _, err := x.RunSeeds(context.Background(), &scalar, seeds, out); !errors.Is(err, radio.ErrNoSuchSource) {
+			t.Errorf("scalar RunSeeds(sources %v): err = %v, want ErrNoSuchSource", sources, err)
+		}
+		if _, err := x.Run(context.Background(), req, xrand.New(1)); !errors.Is(err, radio.ErrNoSuchSource) {
+			t.Errorf("Run(sources %v): err = %v, want ErrNoSuchSource", sources, err)
+		}
+		if _, err := x.Time(context.Background(), req, xrand.New(1)); !errors.Is(err, radio.ErrNoSuchSource) {
+			t.Errorf("Time(sources %v): err = %v, want ErrNoSuchSource", sources, err)
+		}
+	}
+	if _, _, err := sweep.RunLanes(context.Background(), g, 500, p, core.MaxRoundsFor(200), len(seeds), 1); !errors.Is(err, radio.ErrNoSuchSource) {
+		t.Errorf("sweep.RunLanes(source 500): err = %v, want ErrNoSuchSource", err)
+	}
+	if st := x.Snapshot(); st.Lanes.Runs != 0 || st.Scalar.Runs != 0 {
+		t.Errorf("rejected requests were counted as runs: %+v", st)
+	}
+}
+
+// TestLanePool: one-shot lane batches check their engines out of the
+// executor's free list — a miss per worker the first time, a hit per
+// worker afterwards, also for a smaller graph — and reruns stay
+// bit-identical to the first, fresh-engine run.
+func TestLanePool(t *testing.T) {
+	x := exec.New()
+	g := testGraph(t, 12)
+	seeds := sweep.Seeds(exec.Width, 31)
+	_, workers := lanes.Shard(len(seeds), 0, 0)
+
+	first := make([]int, len(seeds))
+	if _, err := x.RunSeeds(context.Background(), protoReq(g), seeds, first); err != nil {
+		t.Fatal(err)
+	}
+	if st := x.Snapshot().Lanes; st.PoolMisses != int64(workers) || st.PoolHits != 0 {
+		t.Fatalf("first batch: lane pool counters %+v, want %d misses", st, workers)
+	}
+	if idle := x.IdleLaneEngines(); idle != workers {
+		t.Fatalf("idle lane engines = %d after a clean batch, want %d", idle, workers)
+	}
+	again := make([]int, len(seeds))
+	if _, err := x.RunSeeds(context.Background(), protoReq(g), seeds, again); err != nil {
+		t.Fatal(err)
+	}
+	for i := range first {
+		if again[i] != first[i] {
+			t.Fatalf("trial %d: pooled rerun %d, fresh run %d", i, again[i], first[i])
+		}
+	}
+	small, _, ok := gen.ConnectedGnp(100, gen.PForDegree(100, testD), xrand.New(13), 100)
+	if !ok {
+		t.Fatal("no connected test graph")
+	}
+	if _, err := x.RunSeeds(context.Background(), protoReq(small), seeds, again); err != nil {
+		t.Fatal(err)
+	}
+	if st := x.Snapshot().Lanes; st.PoolMisses != int64(workers) || st.PoolHits != int64(2*workers) {
+		t.Errorf("lane pool counters %+v, want %d misses and %d hits", st, workers, 2*workers)
+	}
+}
+
+// TestLanePoolDropsCanceledEngines: a canceled lane batch abandons the
+// engines it checked out instead of returning them to the free list.
+func TestLanePoolDropsCanceledEngines(t *testing.T) {
+	x := exec.New()
+	g := testGraph(t, 14)
+	seeds := sweep.Seeds(exec.Width, 37)
+	out := make([]int, len(seeds))
+	if _, err := x.RunSeeds(context.Background(), protoReq(g), seeds, out); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := x.RunSeeds(ctx, protoReq(g), seeds, out); !errors.Is(err, radio.ErrCanceled) {
+		t.Fatalf("canceled batch: err = %v, want ErrCanceled", err)
+	}
+	if idle := x.IdleLaneEngines(); idle != 0 {
+		t.Errorf("idle lane engines = %d after a canceled batch, want 0", idle)
+	}
+}
+
+// TestConcurrentRunSeeds: concurrent lane batches on one graph share the
+// executor's free list safely (run it under -race) and each still
+// matches a fresh-engine reference; the free list stays bounded.
+func TestConcurrentRunSeeds(t *testing.T) {
+	x := exec.New()
+	g := testGraph(t, 15)
+	seeds := sweep.Seeds(100, 41)
+	want := make([]int, len(seeds))
+	plan, _ := lanes.NewPlan(protoReq(g).Protocol, protoReq(g).MaxRounds)
+	if err := lanes.RunBlocks(context.Background(), g, []int32{0}, plan, seeds, exec.Width, 1, want); err != nil {
+		t.Fatal(err)
+	}
+	const callers = 6
+	errs := make(chan error, callers)
+	for c := 0; c < callers; c++ {
+		go func() {
+			for rep := 0; rep < 3; rep++ {
+				got := make([]int, len(seeds))
+				if _, err := x.RunSeeds(context.Background(), protoReq(g), seeds, got); err != nil {
+					errs <- err
+					return
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						errs <- fmt.Errorf("trial %d: concurrent batch %d, reference %d", i, got[i], want[i])
+						return
+					}
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for c := 0; c < callers; c++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+	if idle, limit := x.IdleLaneEngines(), runtime.GOMAXPROCS(0); idle > limit {
+		t.Errorf("idle lane engines = %d, above GOMAXPROCS = %d", idle, limit)
 	}
 }

@@ -47,6 +47,15 @@
 // probing is free); protocols with any non-uniform round fall back to the
 // scalar engine, as do observed runs (trace observers are inherently
 // scalar per-trial streams).
+//
+// Lane purity also frees the block shape. Shard splits a one-shot batch
+// into balanced blocks, at least one per worker (64 trials on two CPUs
+// run as two 32-lane blocks in parallel), and RunBlocks runs them on one
+// engine per worker. Engines allocate nothing in steady state: each
+// lane's eligible list is a fixed window of one width·n arena, an
+// InformedBy cohort is a prefix length into it, and Retarget re-aims an
+// engine at any graph within its vertex capacity (and any sources and
+// plan), so internal/exec keeps a small free list of them across calls.
 package lanes
 
 import (
@@ -163,8 +172,12 @@ func (t *Trace) reset(width, n int) {
 	}
 }
 
-// Engine runs lane blocks on a fixed graph from a fixed source set. It is
-// not safe for concurrent use; RunBlocks keeps one per worker.
+// Engine runs lane blocks on one graph from one source set for one
+// planned protocol schedule. It is not safe for concurrent use; RunBlocks
+// runs one engine per worker. Its buffers are sized by vertex capacity,
+// not bound to the graph: Retarget points an engine at any graph of at
+// most Cap() vertices (and any source set and plan) without allocating,
+// which is what lets internal/exec pool lane engines across calls.
 type Engine struct {
 	g       *graph.Graph
 	sources []int32
@@ -196,10 +209,16 @@ type Engine struct {
 	// Per-lane trial state. elig mirrors the scalar engine's incremental
 	// eligible lists: every informed node, appended in lane-pure
 	// (ascending-vertex within a round) order and never reordered — the
-	// geometric skip walk reads but does not permute.
+	// geometric skip walk reads but does not permute. A lane informs each
+	// vertex at most once, so lane i's list is a fixed n-capacity window
+	// of one width·n arena and appends never regrow. Appends also happen
+	// in round order, so an InformedBy(cutoff) cohort is always a prefix
+	// of the lane's list: cohortLen[k][i] is the length of that prefix
+	// for plan cutoff k.
 	rngs        []xrand.Rand
+	arena       []int32
 	elig        [][]int32
-	eligCohort  [][][]int32 // [cutoff index][lane]
+	cohortLen   [][Width]int32
 	informedCnt []int32
 	doneRound   []int32
 	active      uint64
@@ -210,38 +229,70 @@ type Engine struct {
 // NewEngine returns a lane engine on g with the given initial informed
 // set (sources[0] first, duplicates tolerated) for the planned protocol
 // schedule. The engine is reusable: each Run resets all per-trial state.
+// It panics on an empty or out-of-range source set.
 func NewEngine(g *graph.Graph, sources []int32, plan *Plan) *Engine {
+	e := &Engine{
+		rngs:        make([]xrand.Rand, Width),
+		elig:        make([][]int32, Width),
+		informedCnt: make([]int32, Width),
+		doneRound:   make([]int32, Width),
+	}
+	e.Retarget(g, sources, plan)
+	return e
+}
+
+// Retarget points the engine at a new (graph, sources, plan), reusing its
+// buffers when g fits within Cap() and growing them otherwise. Runs after
+// a Retarget are bit-identical to runs on a fresh NewEngine(g, sources,
+// plan). It panics on an empty or out-of-range source set.
+func (e *Engine) Retarget(g *graph.Graph, sources []int32, plan *Plan) {
 	n := g.N()
 	if len(sources) == 0 {
-		panic("lanes: NewEngine needs at least one source")
+		panic("lanes: an engine needs at least one source")
 	}
 	for _, s := range sources {
 		if s < 0 || int(s) >= n {
 			panic(fmt.Sprintf("lanes: source %d out of range [0,%d)", s, n))
 		}
 	}
-	e := &Engine{
-		g:           g,
-		sources:     append([]int32(nil), sources...),
-		plan:        plan,
-		informed:    make([]uint64, n),
-		hits:        make([]uint64, 2*n),
-		txMask:      make([]uint64, n),
-		done:        make([]uint8, n),
-		live:        make([]int32, 0, n),
-		cohortPlane: make([][]uint64, len(plan.cutoffs)),
-		cohortUnion: make([][]int32, len(plan.cutoffs)),
-		rngs:        make([]xrand.Rand, Width),
-		elig:        make([][]int32, Width),
-		eligCohort:  make([][][]int32, len(plan.cutoffs)),
-		informedCnt: make([]int32, Width),
-		doneRound:   make([]int32, Width),
+	e.g, e.plan = g, plan
+	e.sources = append(e.sources[:0], sources...)
+	e.informed = resize(e.informed, n)
+	e.hits = resize(e.hits, 2*n)
+	e.txMask = resize(e.txMask, n)
+	e.done = resize(e.done, n)
+	if cap(e.live) < n {
+		e.live = make([]int32, 0, n)
 	}
-	for k := range e.cohortPlane {
-		e.cohortPlane[k] = make([]uint64, n)
-		e.eligCohort[k] = make([][]int32, Width)
+	k := len(plan.cutoffs)
+	e.cohortPlane = resize(e.cohortPlane, k)
+	e.cohortUnion = resize(e.cohortUnion, k)
+	e.cohortLen = resize(e.cohortLen, k)
+	for c := range e.cohortPlane {
+		e.cohortPlane[c] = resize(e.cohortPlane[c], n)
 	}
-	return e
+}
+
+// Detach drops the engine's graph, plan and trace references (keeping its
+// buffers), so an idle pooled engine pins no graph. Retarget before the
+// next Run.
+func (e *Engine) Detach() {
+	e.g, e.plan, e.trace = nil, nil, nil
+	e.sources = e.sources[:0]
+}
+
+// Cap returns the engine's vertex capacity: the largest graph Retarget
+// serves without growing the per-vertex buffers.
+func (e *Engine) Cap() int { return cap(e.informed) }
+
+// resize returns s resliced to length n, reallocating only when its
+// capacity is short. Elements beyond the old length keep whatever they
+// held; callers clear or overwrite before use.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // SetTrace attaches (or, with nil, detaches) a Trace that subsequent Runs
@@ -340,20 +391,21 @@ func (e *Engine) resetRun(seeds []uint64, width, n int) {
 	for k := range e.cohortPlane {
 		clear(e.cohortPlane[k])
 		e.cohortUnion[k] = e.cohortUnion[k][:0]
+		e.cohortLen[k] = [Width]int32{}
 	}
 	active := ^uint64(0)
 	if width < Width {
 		active = uint64(1)<<uint(width) - 1
 	}
 	e.active = active
+	if cap(e.arena) < width*n {
+		e.arena = make([]int32, width*n)
+	}
 	for i := 0; i < width; i++ {
 		e.rngs[i].Reseed(seeds[i])
-		e.elig[i] = e.elig[i][:0]
+		e.elig[i] = e.arena[i*n : i*n : (i+1)*n]
 		e.informedCnt[i] = 0
 		e.doneRound[i] = int32(e.plan.maxRounds + 1)
-		for k := range e.eligCohort {
-			e.eligCohort[k][i] = e.eligCohort[k][i][:0]
-		}
 	}
 	if e.trace != nil {
 		e.trace.reset(width, n)
@@ -377,7 +429,7 @@ func (e *Engine) resetRun(seeds []uint64, width, n int) {
 				e.cohortPlane[k][s] = active
 				e.cohortUnion[k] = append(e.cohortUnion[k], s)
 				for i := 0; i < width; i++ {
-					e.eligCohort[k][i] = append(e.eligCohort[k][i], s)
+					e.cohortLen[k][i]++
 				}
 			}
 		}
@@ -436,7 +488,7 @@ func (e *Engine) buildTransmitters(round, width int) {
 			i := bits.TrailingZeros64(act)
 			el := e.elig[i]
 			if ci >= 0 {
-				el = e.eligCohort[ci][i]
+				el = el[:e.cohortLen[ci][i]]
 			}
 			if len(el) == 0 {
 				continue
@@ -586,7 +638,7 @@ func (e *Engine) commit(w int32, once, twice uint64, round int) {
 		e.elig[i] = append(e.elig[i], w)
 		for k, cutoff := range e.plan.cutoffs {
 			if int32(round) <= cutoff {
-				e.eligCohort[k][i] = append(e.eligCohort[k][i], w)
+				e.cohortLen[k][i] = int32(len(e.elig[i]))
 			}
 		}
 		if e.trace != nil {
@@ -636,40 +688,73 @@ func (e *Engine) traceHits(w int32, recv, twice uint64) {
 	}
 }
 
-// RunBlocks shards len(seeds) trials into lane blocks of the given width
-// (0 or out-of-range means Width) and runs them on a bounded worker pool
-// (workers <= 0 means GOMAXPROCS), one reused Engine per worker. out[i]
+// RunBlocks shards len(seeds) trials into lane blocks (see Shard for
+// how width 0 and workers <= 0 resolve) and runs them on a bounded worker
+// pool, one fresh Engine per worker, built before any worker starts (so
+// an invalid source set panics on the caller's goroutine). out[i]
 // receives trial i's completion round, plan.MaxRounds()+1 if unfinished.
 // Workers write disjoint ranges of out, and lane purity makes each trial
 // a pure function of its seed, so out is bitwise independent of width,
 // worker count and GOMAXPROCS. On cancellation the first error (wrapping
 // radio.ErrCanceled) is returned and out is meaningless.
 func RunBlocks(ctx context.Context, g *graph.Graph, sources []int32, plan *Plan, seeds []uint64, width, workers int, out []int) error {
-	if len(out) != len(seeds) {
-		panic("lanes: RunBlocks needs len(out) == len(seeds)")
+	width, workers = Shard(len(seeds), width, workers)
+	engines := make([]*Engine, workers)
+	for w := range engines {
+		engines[w] = NewEngine(g, sources, plan)
 	}
-	if width <= 0 || width > Width {
-		width = Width
-	}
-	blocks := (len(seeds) + width - 1) / width
-	if blocks == 0 {
-		return nil
+	return RunBlocksOn(ctx, engines, seeds, width, out)
+}
+
+// Shard resolves RunBlocks' block width and worker count for a batch of
+// trials. workers <= 0 means GOMAXPROCS. An explicit width in [1, Width]
+// is honoured; the default (0 or out of range) balances the batch across
+// the workers: max(⌈trials/Width⌉, workers) blocks, rounded up to a
+// multiple of workers and capped at trials, each ⌈trials/blocks⌉ lanes
+// wide — so 64 trials on two workers run as two 32-lane blocks in
+// parallel instead of one 64-lane block on one core, and one worker keeps
+// full 64-lane blocks. The returned worker count never exceeds the block
+// count (it is 0 for an empty batch).
+func Shard(trials, width, workers int) (blockWidth, blockWorkers int) {
+	if trials <= 0 {
+		return Width, 0
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > blocks {
-		workers = blocks
+	if width <= 0 || width > Width {
+		blocks := max(ceilDiv(trials, Width), workers)
+		blocks = min(ceilDiv(blocks, workers)*workers, trials)
+		width = ceilDiv(trials, blocks)
+	}
+	return width, min(workers, ceilDiv(trials, width))
+}
+
+func ceilDiv(a, b int) int { return (a + b - 1) / b }
+
+// RunBlocksOn is RunBlocks on caller-supplied engines, already targeted
+// at the batch's graph, sources and plan: blocks of width lanes (1 <=
+// width <= Width) run on len(engines) workers, one engine each. The
+// engines are left targeted; the caller owns them throughout.
+func RunBlocksOn(ctx context.Context, engines []*Engine, seeds []uint64, width int, out []int) error {
+	if len(out) != len(seeds) {
+		panic("lanes: RunBlocks needs len(out) == len(seeds)")
+	}
+	blocks := ceilDiv(len(seeds), width)
+	if blocks == 0 {
+		return nil
+	}
+	if len(engines) == 0 {
+		panic("lanes: RunBlocksOn needs at least one engine")
 	}
 	runBlock := func(e *Engine, b int) error {
 		lo := b * width
 		hi := min(lo+width, len(seeds))
 		return e.RunContext(ctx, seeds[lo:hi], out[lo:hi])
 	}
-	if workers <= 1 {
-		e := NewEngine(g, sources, plan)
+	if len(engines) == 1 {
 		for b := 0; b < blocks; b++ {
-			if err := runBlock(e, b); err != nil {
+			if err := runBlock(engines[0], b); err != nil {
 				return err
 			}
 		}
@@ -681,11 +766,10 @@ func RunBlocks(ctx context.Context, g *graph.Graph, sources []int32, plan *Plan,
 		firstErr error
 	)
 	ch := make(chan int)
-	for w := 0; w < workers; w++ {
+	for _, e := range engines {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			e := NewEngine(g, sources, plan)
 			for b := range ch {
 				if err := runBlock(e, b); err != nil {
 					errOnce.Do(func() { firstErr = err })

@@ -265,6 +265,51 @@ func TestLaneEngineReuse(t *testing.T) {
 	}
 }
 
+// lateCohortProtocol is silent for rounds 1-3 and then transmits with
+// probability 1/2 from the InformedBy(2) cohort — which therefore never
+// grows past the sources, so no commit ever refreshes its prefix length.
+type lateCohortProtocol struct{}
+
+func (lateCohortProtocol) Transmit(v int32, round int, informedAt int32, rng *xrand.Rand) bool {
+	panic("lane-only test protocol")
+}
+
+func (lateCohortProtocol) RoundProb(round int) (float64, radio.Cohort, bool) {
+	if round <= 3 {
+		return 0, radio.AllInformed, true
+	}
+	return 0.5, radio.InformedBy(2), true
+}
+
+// TestLaneCohortResetPerRun: an InformedBy cohort's prefix length is
+// reset by every run, not only refreshed by commits. On a complete graph
+// only the source may transmit, so a stale prefix reaching into the
+// previous run's eligible list would add colliding transmitters.
+func TestLaneCohortResetPerRun(t *testing.T) {
+	const n = 8
+	b := graph.NewBuilder(n)
+	for u := int32(0); u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			b.AddEdge(u, v)
+		}
+	}
+	g := b.Build()
+	plan := mustPlan(t, lateCohortProtocol{}, 60)
+	reused := lanes.NewEngine(g, []int32{0}, plan)
+	for run := 0; run < 3; run++ {
+		seeds := sweep.Seeds(lanes.Width, 60+uint64(run))
+		got := make([]int, len(seeds))
+		want := make([]int, len(seeds))
+		reused.Run(seeds, got)
+		lanes.NewEngine(g, []int32{0}, plan).Run(seeds, want)
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("run %d lane %d: reused %d, fresh %d", run, i, got[i], want[i])
+			}
+		}
+	}
+}
+
 // TestNonUniformProtocolHasNoPlan: protocols without the capability (or
 // with any non-uniform round) must be declined so callers fall back.
 func TestNonUniformProtocolHasNoPlan(t *testing.T) {
@@ -392,4 +437,125 @@ func TestSweepRunLanes(t *testing.T) {
 	if _, ok, err := sweep.RunLanes(canceled, g, 0, p, maxRounds, 50, 321); !ok || !errors.Is(err, radio.ErrCanceled) {
 		t.Fatalf("RunLanes under canceled ctx: ok=%v err=%v, want ok with ErrCanceled", ok, err)
 	}
+}
+
+// TestShard pins the block shapes RunBlocks resolves: the default width
+// balances a batch across the workers (64 trials on two workers are two
+// 32-lane blocks), an explicit width is honoured, and the worker count
+// never exceeds the block count.
+func TestShard(t *testing.T) {
+	for _, c := range []struct{ trials, width, workers, wantWidth, wantWorkers int }{
+		{64, 0, 2, 32, 2},
+		{64, 0, 1, 64, 1},
+		{65, 0, 1, 33, 1},   // two blocks on one worker
+		{130, 0, 2, 33, 2},  // three blocks round up to four
+		{100, 0, 3, 34, 3},  // one block per worker
+		{1, 0, 4, 1, 1},     // capped at one block per trial
+		{2, 0, 3, 1, 2},     // capped at one block per trial
+		{64, 16, 2, 16, 2},  // explicit width
+		{64, 64, 4, 64, 1},  // explicit full width: one block
+		{64, 200, 2, 32, 2}, // out-of-range width means default
+		{0, 0, 2, lanes.Width, 0},
+	} {
+		w, k := lanes.Shard(c.trials, c.width, c.workers)
+		if w != c.wantWidth || k != c.wantWorkers {
+			t.Errorf("Shard(%d, %d, %d) = (%d, %d), want (%d, %d)",
+				c.trials, c.width, c.workers, w, k, c.wantWidth, c.wantWorkers)
+		}
+	}
+	prev := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(prev)
+	if w, k := lanes.Shard(64, 0, 0); w != lanes.Width || k != 1 {
+		t.Errorf("GOMAXPROCS=1: Shard(64, 0, 0) = (%d, %d), want one full block", w, k)
+	}
+}
+
+// TestDefaultWidthSharding: the balanced default sharding is bit-identical
+// to full 64-lane blocks on one worker, for every batch size and worker
+// count — lane purity is what makes the block shape invisible.
+func TestDefaultWidthSharding(t *testing.T) {
+	g := testGraph(t, 150, 6, 31)
+	plan := mustPlan(t, core.NewDistributedProtocol(150, 6), core.MaxRoundsFor(150))
+	for _, trials := range []int{1, 2, 63, 64, 65, 100, 130} {
+		seeds := sweep.Seeds(trials, 900+uint64(trials))
+		want := make([]int, trials)
+		if err := lanes.RunBlocks(context.Background(), g, []int32{0}, plan, seeds, lanes.Width, 1, want); err != nil {
+			t.Fatal(err)
+		}
+		for workers := 1; workers <= 4; workers++ {
+			got := make([]int, trials)
+			if err := lanes.RunBlocks(context.Background(), g, []int32{0}, plan, seeds, 0, workers, got); err != nil {
+				t.Fatal(err)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("T=%d workers=%d: trial %d got %d, 64-lane block %d", trials, workers, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestLaneEngineRetarget: one engine cycled — detached in between, as
+// the exec pool does — across graphs of different sizes (shrinking and
+// growing past its capacity), plans with zero and one InformedBy cutoff,
+// and different source sets runs every block bit-identically to a fresh
+// engine built for that target.
+func TestLaneEngineRetarget(t *testing.T) {
+	big, small, bigger := testGraph(t, 180, 8, 41), testGraph(t, 60, 6, 42), testGraph(t, 300, 8, 43)
+	distributed := func(g *graph.Graph) *lanes.Plan {
+		return mustPlan(t, core.NewDistributedProtocol(g.N(), 8), core.MaxRoundsFor(g.N()))
+	}
+	restricted := func(g *graph.Graph) *lanes.Plan {
+		return mustPlan(t, core.NewRestrictedPoolProtocol(g.N(), 8), core.MaxRoundsFor(g.N()))
+	}
+	targets := []struct {
+		g       *graph.Graph
+		sources []int32
+		plan    *lanes.Plan
+	}{
+		{big, []int32{0}, restricted(big)},
+		{small, []int32{5}, distributed(small)},
+		{big, []int32{3, 7, 3}, distributed(big)},
+		{small, []int32{0, 1}, restricted(small)},
+		{bigger, []int32{9}, restricted(bigger)},
+		{small, []int32{2}, distributed(small)},
+	}
+	e := lanes.NewEngine(targets[0].g, targets[0].sources, targets[0].plan)
+	for ti, tg := range targets {
+		if ti > 0 {
+			e.Detach()
+			e.Retarget(tg.g, tg.sources, tg.plan)
+		}
+		for _, width := range []int{lanes.Width, 17} {
+			seeds := sweep.Seeds(width, 700+uint64(100*ti+width))
+			got := make([]int, width)
+			want := make([]int, width)
+			e.Run(seeds, got)
+			lanes.NewEngine(tg.g, tg.sources, tg.plan).Run(seeds, want)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("target %d width %d lane %d: retargeted %d, fresh %d", ti, width, i, got[i], want[i])
+				}
+			}
+		}
+	}
+	if e.Cap() < bigger.N() {
+		t.Errorf("Cap() = %d after serving n=%d", e.Cap(), bigger.N())
+	}
+}
+
+// TestRunBlocksBadSourcePanicsOnCaller: an out-of-range source panics on
+// the calling goroutine (engines are built before the workers start), so
+// the caller can recover it instead of losing the process.
+func TestRunBlocksBadSourcePanicsOnCaller(t *testing.T) {
+	g := testGraph(t, 200, 6, 7)
+	plan := mustPlan(t, core.NewDistributedProtocol(200, 6), core.MaxRoundsFor(200))
+	seeds := sweep.Seeds(128, 1)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("RunBlocks with source 500 on a 200-node graph did not panic")
+		}
+	}()
+	_ = lanes.RunBlocks(context.Background(), g, []int32{500}, plan, seeds, 0, 4, make([]int, len(seeds)))
 }

@@ -22,6 +22,12 @@
 // the scalar benchmark's ns/op divided by the lane benchmark's ns/trial
 // must be at least -min-ratio. Because both numbers come from one run on
 // one machine, the gate is portable to CI hardware of any speed.
+//
+// With -base-bench, both modes instead compare -lane-bench against that
+// baseline in the same run: ns/trial overhead (gated by -max-overhead)
+// and bytes per op (gated by -max-bytes-ratio). Benchmarks run at several
+// -cpu values are compared per GOMAXPROCS value (the "-N" name suffix),
+// each pair gated separately.
 package main
 
 import (
@@ -38,6 +44,7 @@ import (
 // benchResult is one parsed benchmark line.
 type benchResult struct {
 	Name        string  `json:"name"`
+	Procs       int     `json:"procs,omitempty"` // GOMAXPROCS of the run, from the "-N" name suffix
 	What        string  `json:"what,omitempty"`
 	Iterations  int     `json:"iterations"`
 	NsPerOp     float64 `json:"ns_per_op"`
@@ -66,7 +73,7 @@ var whatFor = map[string]string{
 	"BenchmarkLaneBroadcast":         "bit-parallel lane engine: 64 trials per Engine.Run call on the same workload; ns/trial is the headline metric",
 	"BenchmarkLaneBroadcastSmall":    "lane engine at n=10000 d=25 for the EXPERIMENTS.md throughput table",
 	"BenchmarkBroadcastReusePerNode": "per-node sampling opt-out (pre-fast-path behaviour)",
-	"BenchmarkFacadeRunBatch":        "facade RunBatch through the unified execution layer (internal/exec): classification, seed derivation and lane-engine construction included; ns/trial vs BenchmarkLaneBroadcast is the executor overhead",
+	"BenchmarkFacadeRunBatch":        "facade RunBatch through the unified execution layer (internal/exec): classification, seed derivation, balanced block sharding and pooled lane-engine checkout included; ns/trial and B/op vs BenchmarkLaneBroadcast are the executor overhead",
 }
 
 func main() {
@@ -84,6 +91,7 @@ func main() {
 	minRatio := flag.Float64("min-ratio", 3, "minimum same-run speedup accepted by -check")
 	baseBench := flag.String("base-bench", "", "baseline benchmark for the same-run overhead gate: -lane-bench ns/trial over this benchmark's ns/trial must stay <= -max-overhead")
 	maxOverhead := flag.Float64("max-overhead", 0, "maximum same-run overhead ratio accepted when -base-bench is set (0 = no gate)")
+	maxBytesRatio := flag.Float64("max-bytes-ratio", 0, "maximum same-run B/op of -lane-bench over -base-bench's B/op when -base-bench is set (0 = no gate)")
 	n := flag.Int("n", 100000, "workload graph size")
 	d := flag.Float64("d", 25, "workload expected degree")
 	flag.Parse()
@@ -107,18 +115,17 @@ func main() {
 
 	if *check {
 		if *baseBench != "" {
-			// Overhead form: both numbers are same-run ns/trial metrics,
-			// so the gate is portable to CI hardware of any speed.
-			over, base := overheadRatio(results, *laneBench, *baseBench)
-			fmt.Printf("benchrecord: %s %.0f ns/trial vs %s %.0f ns/trial: %.3fx overhead (gate %.2fx)\n",
-				*laneBench, base*over, *baseBench, base, over, *maxOverhead)
-			if *maxOverhead > 0 && over > *maxOverhead {
-				fatal(fmt.Errorf("overhead %.3fx above the %.2fx gate", over, *maxOverhead))
+			// Overhead form: both numbers of each pair come from the same
+			// run, so the gates are portable to CI hardware of any speed.
+			for _, c := range compareToBase(results, *laneBench, *baseBench) {
+				fmt.Printf("benchrecord: %s\n", c.overheadNote(*maxOverhead))
+				fmt.Printf("benchrecord: %s\n", c.bytesNote(*maxBytesRatio))
+				c.gate(*maxOverhead, *maxBytesRatio, "gate")
 			}
 			return
 		}
-		scalar := find(results, *scalarBench)
-		lane := find(results, *laneBench)
+		scalar := find(results, *scalarBench, 0)
+		lane := find(results, *laneBench, 0)
 		if scalar == nil || lane == nil {
 			fatal(fmt.Errorf("check needs both %s and %s in the input", *scalarBench, *laneBench))
 		}
@@ -155,7 +162,7 @@ func main() {
 			"name":      *refName,
 			"ns_per_op": int64(*refNs),
 		}
-		lane := find(results, *laneBench)
+		lane := find(results, *laneBench, 0)
 		if lane == nil || lane.NsPerTrial == 0 {
 			fatal(fmt.Errorf("acceptance needs %s with a ns/trial metric", *laneBench))
 		}
@@ -170,15 +177,24 @@ func main() {
 		}
 	}
 	if *baseBench != "" {
-		over, base := overheadRatio(results, *laneBench, *baseBench)
 		if rec.Acceptance == nil {
 			rec.Acceptance = map[string]any{}
 		}
-		rec.Acceptance["overhead_vs_base"] = round2(over)
-		rec.Acceptance["overhead_note"] = fmt.Sprintf("%s at %.0f ns/trial over %s at %.0f ns/trial in the same run = %.3fx (criterion: <= %.2fx)",
-			*laneBench, base*over, *baseBench, base, over, *maxOverhead)
-		if *maxOverhead > 0 && over > *maxOverhead {
-			fatal(fmt.Errorf("overhead %.3fx above the %.2fx acceptance bar", over, *maxOverhead))
+		cmps := compareToBase(results, *laneBench, *baseBench)
+		for _, c := range cmps {
+			// One comparison keeps the unsuffixed keys; several (a -cpu
+			// list) get one key set per GOMAXPROCS value.
+			suffix := ""
+			if len(cmps) > 1 {
+				suffix = fmt.Sprintf("_cpu%d", c.procs)
+			}
+			rec.Acceptance["overhead_vs_base"+suffix] = round2(c.overhead())
+			rec.Acceptance["overhead_note"+suffix] = c.overheadNote(*maxOverhead)
+			if *maxBytesRatio > 0 {
+				rec.Acceptance["bytes_vs_base"+suffix] = round4(c.bytesRatio())
+				rec.Acceptance["bytes_note"+suffix] = c.bytesNote(*maxBytesRatio)
+			}
+			c.gate(*maxOverhead, *maxBytesRatio, "acceptance bar")
 		}
 	}
 	b, err := json.MarshalIndent(rec, "", "  ")
@@ -218,12 +234,17 @@ func parse(r io.Reader) (env map[string]string, results []*benchResult, err erro
 		if len(f) < 4 {
 			continue
 		}
-		name, _, _ := strings.Cut(f[0], "-")
+		name, procs := f[0], 1
+		if i := strings.LastIndex(name, "-"); i >= 0 {
+			if p, err := strconv.Atoi(name[i+1:]); err == nil {
+				name, procs = name[:i], p
+			}
+		}
 		iters, err := strconv.Atoi(f[1])
 		if err != nil {
 			continue
 		}
-		res := &benchResult{Name: name, What: whatFor[name], Iterations: iters}
+		res := &benchResult{Name: name, Procs: procs, What: whatFor[name], Iterations: iters}
 		for i := 2; i+1 < len(f); i += 2 {
 			v, err := strconv.ParseFloat(f[i], 64)
 			if err != nil {
@@ -245,23 +266,76 @@ func parse(r io.Reader) (env map[string]string, results []*benchResult, err erro
 	return env, results, sc.Err()
 }
 
-// overheadRatio returns the lane benchmark's ns/trial divided by the
-// base benchmark's ns/trial (both from the same run) and the base value.
-func overheadRatio(results []*benchResult, laneName, baseName string) (ratio, base float64) {
-	lane := find(results, laneName)
-	b := find(results, baseName)
-	if lane == nil || b == nil {
-		fatal(fmt.Errorf("overhead gate needs both %s and %s in the input", laneName, baseName))
-	}
-	if lane.NsPerTrial == 0 || b.NsPerTrial == 0 {
-		fatal(fmt.Errorf("overhead gate needs ns/trial metrics on both %s and %s", laneName, baseName))
-	}
-	return lane.NsPerTrial / b.NsPerTrial, b.NsPerTrial
+// comparison pairs the lane benchmark with the base benchmark at one
+// GOMAXPROCS value of the same run.
+type comparison struct {
+	procs      int
+	lane, base *benchResult
 }
 
-func find(results []*benchResult, name string) *benchResult {
+// compareToBase pairs laneName with baseName at every GOMAXPROCS value
+// the lane benchmark ran at; both must report ns/trial.
+func compareToBase(results []*benchResult, laneName, baseName string) []comparison {
+	var cmps []comparison
+	for _, lane := range results {
+		if lane.Name != laneName {
+			continue
+		}
+		base := find(results, baseName, lane.Procs)
+		if base == nil {
+			fatal(fmt.Errorf("overhead gate needs %s at GOMAXPROCS=%d alongside %s", baseName, lane.Procs, laneName))
+		}
+		if lane.NsPerTrial == 0 || base.NsPerTrial == 0 {
+			fatal(fmt.Errorf("overhead gate needs ns/trial metrics on both %s and %s", laneName, baseName))
+		}
+		cmps = append(cmps, comparison{lane.Procs, lane, base})
+	}
+	if len(cmps) == 0 {
+		fatal(fmt.Errorf("overhead gate needs both %s and %s in the input", laneName, baseName))
+	}
+	return cmps
+}
+
+func (c comparison) overhead() float64 { return c.lane.NsPerTrial / c.base.NsPerTrial }
+
+// bytesRatio is the lane benchmark's B/op over the base's; a zero base
+// counts as one byte, so an allocation-free pair compares as 0.
+func (c comparison) bytesRatio() float64 {
+	return float64(c.lane.BytesPerOp) / float64(max(c.base.BytesPerOp, 1))
+}
+
+func (c comparison) overheadNote(bar float64) string {
+	return fmt.Sprintf("%s at %.0f ns/trial over %s at %.0f ns/trial in the same run, GOMAXPROCS=%d = %.3fx (%s)",
+		c.lane.Name, c.lane.NsPerTrial, c.base.Name, c.base.NsPerTrial, c.procs, c.overhead(), criterion(bar))
+}
+
+func (c comparison) bytesNote(bar float64) string {
+	return fmt.Sprintf("%s at %d B/op over %s at %d B/op in the same run, GOMAXPROCS=%d = %.3fx (%s)",
+		c.lane.Name, c.lane.BytesPerOp, c.base.Name, c.base.BytesPerOp, c.procs, c.bytesRatio(), criterion(bar))
+}
+
+func criterion(bar float64) string {
+	if bar <= 0 {
+		return "no gate"
+	}
+	return fmt.Sprintf("criterion: <= %.2fx", bar)
+}
+
+// gate exits nonzero when a set (nonzero) bar is exceeded.
+func (c comparison) gate(maxOverhead, maxBytesRatio float64, what string) {
+	if maxOverhead > 0 && c.overhead() > maxOverhead {
+		fatal(fmt.Errorf("GOMAXPROCS=%d: overhead %.3fx above the %.2fx %s", c.procs, c.overhead(), maxOverhead, what))
+	}
+	if maxBytesRatio > 0 && c.bytesRatio() > maxBytesRatio {
+		fatal(fmt.Errorf("GOMAXPROCS=%d: B/op ratio %.3fx above the %.2fx %s", c.procs, c.bytesRatio(), maxBytesRatio, what))
+	}
+}
+
+// find returns the named benchmark's result at GOMAXPROCS procs, or at
+// the first GOMAXPROCS it ran at when procs is 0.
+func find(results []*benchResult, name string, procs int) *benchResult {
 	for _, r := range results {
-		if r.Name == name {
+		if r.Name == name && (procs == 0 || r.Procs == procs) {
 			return r
 		}
 	}
@@ -270,6 +344,11 @@ func find(results []*benchResult, name string) *benchResult {
 
 func round2(v float64) float64 {
 	return float64(int64(v*100+0.5)) / 100
+}
+
+// round4 keeps B/op ratios, which pooling drives far below 0.01, legible.
+func round4(v float64) float64 {
+	return float64(int64(v*10000+0.5)) / 10000
 }
 
 func fatal(err error) {
