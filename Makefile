@@ -31,15 +31,17 @@ cover:
 bench:
 	go test -bench=. -benchmem ./...
 
-# Regenerate BENCH_3.json, BENCH_4.json and BENCH_5.json: run the
-# scalar reference and the lane benchmarks, then let scripts/benchrecord
+# Regenerate BENCH_3.json … BENCH_6.json: run the scalar reference, the
+# lane and the schedule-builder benchmarks, then let scripts/benchrecord
 # parse the output, enforce each record's acceptance bar (BENCH_3: >= 6x
 # vs BENCH_2's recorded scalar trial cost; BENCH_4: facade overhead;
-# BENCH_5: facade overhead and B/op at -cpu 1,2) and write the records.
-# Override DATE / BENCH5_DATE to restamp (same input + same date => same
-# JSON, so regeneration is diffable).
+# BENCH_5: facade overhead and B/op at -cpu 1,2; BENCH_6: schedule build
+# <= 3x its replay) and write the records. Override DATE / BENCH5_DATE /
+# BENCH6_DATE to restamp (same input + same date => same JSON, so
+# regeneration is diffable).
 DATE ?= 2026-08-08
 BENCH5_DATE ?= 2026-10-17
+BENCH6_DATE ?= 2026-10-17
 bench-record:
 	go test -run '^$$' -bench 'BenchmarkBroadcastReuse$$|BenchmarkLaneBroadcast$$|BenchmarkLaneBroadcastSmall$$' \
 		-benchmem -benchtime 2s . > /tmp/bench-record.out
@@ -59,7 +61,13 @@ bench-record:
 		-comment "Lane-batch sharding and pooling record: facade RunBatch (balanced lane blocks on every core, pooled lane engines, one eligible-list arena per engine) vs the raw lane engine on the same n=100000 d=25 workload, same run, at GOMAXPROCS 1 and 2. The gates are same-run ratios per GOMAXPROCS value: ns/trial overhead <= 1.25x and B/op <= 1.1x of the raw engine's (BENCH_4 had the facade at 133.8 MB/op against 21.7 MB/op)." \
 		-lane-bench BenchmarkFacadeRunBatch -base-bench BenchmarkLaneBroadcast \
 		-max-overhead 1.25 -max-bytes-ratio 1.1 -out BENCH_5.json
-	@echo "bench-record: wrote BENCH_3.json, BENCH_4.json and BENCH_5.json"
+	go test -run '^$$' -bench 'BenchmarkSubstrateCentralizedBuild$$|BenchmarkSubstrateCentralizedReplay$$' \
+		-benchmem -benchtime 2s . > /tmp/bench-record-build.out
+	go run ./scripts/benchrecord -in /tmp/bench-record-build.out -date $(BENCH6_DATE) \
+		-comment "Theorem 5 schedule builder record: BuildCentralizedSchedule (one BFS per build, sort-and-scan greedy independent covers on dense scratch) vs radio.ExecuteSchedule replaying the same schedules on the same n=20000 d=2ln(n) connected Gnp, same run. The builder simulates the radio model while it emits, so replay is its floor; the gate is the same-run ns/op ratio build/replay <= 3x (the map-based greedy cover measured 7-16x)." \
+		-lane-bench BenchmarkSubstrateCentralizedBuild -base-bench BenchmarkSubstrateCentralizedReplay \
+		-max-overhead 3 -n 20000 -d 19.81 -out BENCH_6.json
+	@echo "bench-record: wrote BENCH_3.json, BENCH_4.json, BENCH_5.json and BENCH_6.json"
 
 # Regenerate the EXPERIMENTS.md tables (medium scale, recorded seed).
 experiments:
@@ -116,6 +124,7 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzSubgraph$$' -fuzztime 10s ./internal/graph/
 	go test -run '^$$' -fuzz '^FuzzReadSchedule$$' -fuzztime 10s ./internal/radio/
 	go test -run '^$$' -fuzz '^FuzzLoadSamples$$' -fuzztime 10s ./internal/campaign/
+	go test -run '^$$' -fuzz '^FuzzGreedyIndependentCover$$' -fuzztime 10s ./internal/structure/
 
 clean:
 	go clean ./...

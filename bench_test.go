@@ -376,6 +376,37 @@ func BenchmarkSubstrateCentralizedBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkSubstrateCentralizedReplay replays, with radio.ExecuteSchedule,
+// the schedules BenchmarkSubstrateCentralizedBuild builds (same graph, a
+// cycle of its first seeds). The builder simulates the radio model round
+// by round while it emits, so its cost over this replay cost is the
+// builder's own overhead: BENCH_6.json records the same-run ratio and CI
+// gates it.
+func BenchmarkSubstrateCentralizedReplay(b *testing.B) {
+	rng := NewRand(2)
+	const n = 20000
+	d := 2 * math.Log(n)
+	g, ok := ConnectedGnpDegree(n, d, rng)
+	if !ok {
+		b.Fatal("no connected sample")
+	}
+	scheds := make([]*Schedule, 8)
+	for i := range scheds {
+		s, err := BuildSchedule(g, 0, d, uint64(i))
+		if err != nil {
+			b.Fatal(err)
+		}
+		scheds[i] = s
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := radio.ExecuteSchedule(g, 0, scheds[i%len(scheds)], radio.StrictInformed)
+		if err != nil || !res.Completed {
+			b.Fatalf("replay failed: %v (completed=%v)", err, res.Completed)
+		}
+	}
+}
+
 func BenchmarkSubstrateDistributedRun(b *testing.B) {
 	rng := NewRand(3)
 	const n = 20000

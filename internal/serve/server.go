@@ -228,8 +228,8 @@ func (r *RunRequest) validate(cfg *Config) error {
 	default:
 		return fmt.Errorf("%w: unknown algo %q", repro.ErrConflictingOptions, r.Algo)
 	}
-	if r.N < 1 || r.N > cfg.MaxN {
-		return fmt.Errorf("%w: n %d outside [1, %d]", repro.ErrConflictingOptions, r.N, cfg.MaxN)
+	if err := admitN(r.N, cfg.MaxN); err != nil {
+		return err
 	}
 	if r.D < 0 {
 		return fmt.Errorf("%w: negative degree %g", repro.ErrConflictingOptions, r.D)
@@ -249,6 +249,27 @@ func (r *RunRequest) validate(cfg *Config) error {
 	for _, src := range r.Sources {
 		if src < 0 || int(src) >= r.N {
 			return fmt.Errorf("%w: source %d outside [0,%d)", repro.ErrNoSuchSource, src, r.N)
+		}
+	}
+	return nil
+}
+
+// admitN is the daemon's graph-size admission check, shared by every entry
+// point that makes the server sample a graph: /v1/run, /v1/campaign and
+// shard lease offers. The error wraps repro.ErrConflictingOptions (400).
+func admitN(n, maxN int) error {
+	if n < 1 || n > maxN {
+		return fmt.Errorf("%w: n %d outside [1, %d]", repro.ErrConflictingOptions, n, maxN)
+	}
+	return nil
+}
+
+// admitPoints applies admitN to campaign grid points, so a remote spec
+// cannot request a graph larger than a single run may.
+func admitPoints(points []campaign.PointSpec, maxN int) error {
+	for _, p := range points {
+		if err := admitN(p.Trial.N, maxN); err != nil {
+			return fmt.Errorf("point %q: %w", p.ID, err)
 		}
 	}
 	return nil
@@ -524,6 +545,10 @@ func (s *Server) handleCampaignSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	if err := spec.Validate(); err != nil {
 		s.writeError(w, fmt.Errorf("%w: %v", repro.ErrConflictingOptions, err))
+		return
+	}
+	if err := admitPoints(spec.Points, s.cfg.MaxN); err != nil {
+		s.writeError(w, err)
 		return
 	}
 	if s.campaignCtx.Err() != nil {

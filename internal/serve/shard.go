@@ -50,6 +50,11 @@ func (s *Server) handleShardLease(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, fmt.Errorf("%w: %v", repro.ErrConflictingOptions, err))
 		return
 	}
+	// The shard samples graphs only for its own point range.
+	if err := admitPoints(offer.Spec.Points[offer.PointLo:offer.PointHi], s.cfg.MaxN); err != nil {
+		s.writeError(w, err)
+		return
+	}
 	if s.campaignCtx.Err() != nil {
 		s.writeError(w, ErrClosed)
 		return

@@ -7,9 +7,23 @@
 // These are both the building blocks of the centralized broadcasting
 // schedule (Theorem 5 finishes with independent covers) and the subject of
 // the structural experiments E7/E8.
+//
+// The cover and matching constructions run on dense, reusable working
+// memory (Scratch): epoch-stamped vertex marks instead of hash-map sets,
+// so a caller that builds many covers on one graph allocates O(n) once.
+// Each package-level function (EvaluateCover, GreedyIndependentCover,
+// MinimalCover, MatchingFromMinimalCover, GreedyIndependentMatching) is a
+// thin wrapper that runs the construction on fresh scratch.
+// Scratch.GreedyIndependentCover is the schedule builder's
+// allocation-free kernel: the greedy's argmax loop reduces to one stable
+// order (target degree descending) and one scan, O(Σdeg + k log k) for k
+// useful candidates (see its doc comment for the equivalence argument).
 package structure
 
 import (
+	"math"
+	"slices"
+
 	"repro/internal/graph"
 	"repro/internal/xrand"
 )
@@ -50,15 +64,23 @@ func RandomizedCover(g *graph.Graph, x, y []int32, q float64, rng *xrand.Rand) *
 // EvaluateCover classifies each node of y by its number of neighbours in
 // the transmitter set s.
 func EvaluateCover(g *graph.Graph, s, y []int32) *Cover {
-	inS := make(map[int32]bool, len(s))
-	for _, v := range s {
-		inS[v] = true
+	return NewScratch(g.N()).evaluateCover(g, s, y)
+}
+
+// evaluateCover is EvaluateCover on reusable scratch. The result's
+// Transmitters aliases tx.
+func (sc *Scratch) evaluateCover(g *graph.Graph, tx, y []int32) *Cover {
+	sc.fit(g.N())
+	inS := sc.stamps(1)
+	mark := sc.mark
+	for _, v := range tx {
+		mark[v] = inS
 	}
-	c := &Cover{Transmitters: s}
+	c := &Cover{Transmitters: tx}
 	for _, w := range y {
 		count := 0
 		for _, nb := range g.Neighbors(w) {
-			if inS[nb] {
+			if mark[nb] == inS {
 				count++
 				if count >= 2 {
 					break
@@ -78,70 +100,76 @@ func EvaluateCover(g *graph.Graph, s, y []int32) *Cover {
 }
 
 // GreedyIndependentCover builds a transmitter set X' ⊆ X such that every
-// covered node of Y has exactly one neighbour in X', greedily: candidates
-// from X are considered in order of decreasing number of yet-uncovered
-// exclusive neighbours in Y, and a candidate is accepted only if adding it
-// does not give any already-covered node a second neighbour. The result is
-// an independent covering of the covered subset of Y (Definition 1).
+// covered node of Y has exactly one neighbour in X', greedily: it
+// repeatedly accepts the first candidate of X (in x order) with the most
+// uncovered Y-neighbours among those that give no already-covered node of
+// Y a second neighbour. The result is an independent covering of the
+// covered subset of Y (Definition 1).
 //
 // This deterministic construction is used by the tail of the centralized
 // schedule, where only a handful of nodes remain uninformed and the
 // randomized construction would waste rounds.
 func GreedyIndependentCover(g *graph.Graph, x, y []int32) *Cover {
-	inY := make(map[int32]int, len(y)) // y vertex -> #neighbours among accepted transmitters
+	sc := NewScratch(g.N())
+	return sc.evaluateCover(g, sc.GreedyIndependentCover(g, x, y, make([]int32, 0, len(y))), y)
+}
+
+// GreedyIndependentCover is the greedy cover kernel: it appends the
+// transmitters of GreedyIndependentCover(g, x, y) to dst and returns it,
+// without classifying y. It allocates nothing once dst and the scratch
+// have grown to size.
+//
+// The greedy's argmax loop collapses to one sort and one scan. A candidate
+// stays acceptable only while none of its Y-neighbours is covered, so an
+// acceptable candidate's gain is always its full Y-degree |N(c) ∩ Y|,
+// which never changes, and a candidate that stops being acceptable never
+// becomes acceptable again. "The first acceptable candidate of largest
+// gain" is therefore the first still-acceptable candidate in the order
+// (Y-degree descending, x position ascending), and successive picks come
+// in that order. Sorting once and scanning once accepts exactly the same
+// candidates in the same order, in O(Σdeg + k log k) for k candidates of
+// positive Y-degree.
+func (sc *Scratch) GreedyIndependentCover(g *graph.Graph, x, y []int32, dst []int32) []int32 {
+	sc.fit(g.N())
+	inY := sc.stamps(2) // y ∈ Y, not yet covered
+	covered := inY + 1  // y ∈ Y, has an accepted neighbour
+	mark := sc.mark
 	for _, w := range y {
-		inY[w] = 0
+		mark[w] = inY
 	}
-	accepted := make([]int32, 0, len(y))
-	acceptedSet := make(map[int32]bool)
-	// Repeatedly pick the candidate covering the most currently-uncovered
-	// y-nodes without touching any covered y-node. A simple quadratic
-	// greedy is fine: the tail sets are small.
-	remaining := make(map[int32]bool, len(y))
-	for _, w := range y {
-		remaining[w] = true
-	}
-	for len(remaining) > 0 {
-		var best int32 = -1
-		bestGain := 0
-		for _, cand := range x {
-			if acceptedSet[cand] {
-				continue
-			}
-			gain := 0
-			ok := true
-			for _, w := range g.Neighbors(cand) {
-				cnt, isY := inY[w]
-				if !isY {
-					continue
-				}
-				if cnt >= 1 {
-					// cand would give an already-covered y a second
-					// neighbour -> collision; reject.
-					ok = false
-					break
-				}
-				if remaining[w] {
-					gain++
-				}
-			}
-			if ok && gain > bestGain {
-				best, bestGain = cand, gain
+	// Each key packs (MaxUint32 − Y-degree, x position): keys are unique, so
+	// an ascending sort is the stable Y-degree-descending order.
+	keys := sc.keys[:0]
+	for i, c := range x {
+		deg := 0
+		for _, w := range g.Neighbors(c) {
+			if mark[w] == inY {
+				deg++
 			}
 		}
-		if best < 0 {
-			break // no candidate can extend the cover independently
+		if deg > 0 {
+			keys = append(keys, uint64(math.MaxUint32-uint32(deg))<<32|uint64(i))
 		}
-		accepted = append(accepted, best)
-		acceptedSet[best] = true
-		for _, w := range g.Neighbors(best) {
-			if _, isY := inY[w]; isY {
-				inY[w]++
-				delete(remaining, w)
+	}
+	slices.Sort(keys)
+	sc.keys = keys
+scan:
+	for _, k := range keys {
+		c := x[uint32(k)]
+		nbrs := g.Neighbors(c)
+		for _, w := range nbrs {
+			if mark[w] == covered {
+				continue scan
+			}
+		}
+		dst = append(dst, c)
+		for _, w := range nbrs {
+			if mark[w] == inY {
+				mark[w] = covered
 			}
 		}
 	}
-	return EvaluateCover(g, accepted, y)
+	return dst
 }
 
 // Matching is a set of vertex-disjoint edges between X and Y.
@@ -170,35 +198,37 @@ func (m *Matching) IsIndependent(g *graph.Graph) bool {
 }
 
 // GreedyIndependentMatching builds an independent matching between X and Y
-// greedily: scan y ∈ Y; match y to a neighbour x ∈ X such that x has no
-// other neighbour among the currently matched or still-matchable Y-nodes
-// used so far, and y has no other neighbour among matched X-nodes. The
-// construction mirrors the proof of the second statement of Lemma 4: when
-// |X|/|Y| = Ω(d²) almost every y finds a private neighbour.
+// greedily: scan y ∈ Y and match y to the first neighbour x ∈ X that keeps
+// the matching independent. The construction mirrors the proof of the
+// second statement of Lemma 4: when |X|/|Y| = Ω(d²) almost every y finds
+// a private neighbour.
 func GreedyIndependentMatching(g *graph.Graph, x, y []int32) *Matching {
-	inX := make(map[int32]bool, len(x))
+	return NewScratch(g.N()).greedyIndependentMatching(g, x, y)
+}
+
+// greedyIndependentMatching is GreedyIndependentMatching on reusable
+// scratch.
+func (sc *Scratch) greedyIndependentMatching(g *graph.Graph, x, y []int32) *Matching {
+	sc.fit(g.N())
+	inX := sc.stamps(2) // x ∈ X, unmatched
+	matchedX := inX + 1
+	mark := sc.mark
+	matchedY := sc.counts() // 1 for matched y, zeroed again on return
 	for _, v := range x {
-		inX[v] = true
+		mark[v] = inX
 	}
-	inY := make(map[int32]bool, len(y))
-	for _, v := range y {
-		inY[v] = true
-	}
-	matchedX := make(map[int32]bool)
-	matchedY := make(map[int32]bool)
 	m := &Matching{}
 	for _, w := range y {
-		// Candidate x: neighbour of w, in X, unmatched, with no edge to
-		// any other matched y and no edge to any OTHER y at all sharing…
-		// Independence requires: for the new pair (x, w), x has no edge to
-		// previously matched y's, and w has no edge to previously matched
-		// x's. Future pairs check against (x, w) symmetrically.
-		if matchedY[w] {
+		// Independence (Definition 1) for the new pair (x, w) against the
+		// pairs matched so far: w has no edge to a matched x, and x has
+		// no edge to a matched y other than w. Later pairs check against
+		// (x, w) the same way, so every pair of pairs is checked once.
+		if matchedY[w] != 0 {
 			continue
 		}
 		wOK := true
 		for _, nb := range g.Neighbors(w) {
-			if matchedX[nb] {
+			if mark[nb] == matchedX {
 				wOK = false
 				break
 			}
@@ -207,23 +237,26 @@ func GreedyIndependentMatching(g *graph.Graph, x, y []int32) *Matching {
 			continue
 		}
 		for _, cand := range g.Neighbors(w) {
-			if !inX[cand] || matchedX[cand] {
+			if mark[cand] != inX {
 				continue
 			}
 			ok := true
 			for _, nb := range g.Neighbors(cand) {
-				if nb != w && matchedY[nb] {
+				if nb != w && matchedY[nb] != 0 {
 					ok = false
 					break
 				}
 			}
 			if ok {
-				matchedX[cand] = true
-				matchedY[w] = true
+				mark[cand] = matchedX
+				matchedY[w] = 1
 				m.Pairs = append(m.Pairs, [2]int32{cand, w})
 				break
 			}
 		}
+	}
+	for _, p := range m.Pairs {
+		matchedY[p[1]] = 0
 	}
 	return m
 }
@@ -234,17 +267,24 @@ func GreedyIndependentMatching(g *graph.Graph, x, y []int32) *Matching {
 // y still covered. The result is minimal in the set-inclusion sense: no
 // proper subset covers the same y's.
 func MinimalCover(g *graph.Graph, x, y []int32) []int32 {
-	inY := make(map[int32]bool, len(y))
+	return NewScratch(g.N()).minimalCover(g, x, y)
+}
+
+// minimalCover is MinimalCover on reusable scratch. The
+// returned slice is freshly allocated.
+func (sc *Scratch) minimalCover(g *graph.Graph, x, y []int32) []int32 {
+	sc.fit(g.N())
+	inY := sc.stamps(1)
+	mark := sc.mark
+	coverCount := sc.counts() // chosen x adjacent to w ∈ Y; zeroed on return
 	for _, w := range y {
-		inY[w] = true
+		mark[w] = inY
 	}
-	// coverCount[w] = number of chosen x adjacent to w.
-	coverCount := make(map[int32]int, len(y))
 	var chosen []int32
 	for _, v := range x {
 		useful := false
 		for _, w := range g.Neighbors(v) {
-			if inY[w] {
+			if mark[w] == inY {
 				useful = true
 				coverCount[w]++
 			}
@@ -258,20 +298,23 @@ func MinimalCover(g *graph.Graph, x, y []int32) []int32 {
 	for _, v := range chosen {
 		redundant := true
 		for _, w := range g.Neighbors(v) {
-			if inY[w] && coverCount[w] == 1 {
+			if mark[w] == inY && coverCount[w] == 1 {
 				redundant = false
 				break
 			}
 		}
 		if redundant {
 			for _, w := range g.Neighbors(v) {
-				if inY[w] {
+				if mark[w] == inY {
 					coverCount[w]--
 				}
 			}
 		} else {
 			kept = append(kept, v)
 		}
+	}
+	for _, w := range y {
+		coverCount[w] = 0
 	}
 	return kept
 }
@@ -281,33 +324,39 @@ func MinimalCover(g *graph.Graph, x, y []int32) []int32 {
 // adjacent to no other member of X'; pairing them yields an independent
 // matching of size |X'|.
 func MatchingFromMinimalCover(g *graph.Graph, cover, y []int32) *Matching {
-	inCover := make(map[int32]bool, len(cover))
-	for _, v := range cover {
-		inCover[v] = true
-	}
-	inY := make(map[int32]bool, len(y))
+	return NewScratch(g.N()).matchingFromMinimalCover(g, cover, y)
+}
+
+// matchingFromMinimalCover is MatchingFromMinimalCover on reusable
+// scratch.
+func (sc *Scratch) matchingFromMinimalCover(g *graph.Graph, cover, y []int32) *Matching {
+	sc.fit(g.N())
+	inY := sc.stamps(2) // w ∈ Y, not yet used as a private neighbour
+	usedY := inY + 1
+	mark := sc.mark
+	coverDeg := sc.counts() // cover members adjacent to w ∈ Y; zeroed on return
 	for _, w := range y {
-		inY[w] = true
+		mark[w] = inY
 	}
-	// coverDeg[w] = number of cover members adjacent to w ∈ Y.
-	coverDeg := make(map[int32]int, len(y))
 	for _, v := range cover {
 		for _, w := range g.Neighbors(v) {
-			if inY[w] {
+			if mark[w] == inY {
 				coverDeg[w]++
 			}
 		}
 	}
 	m := &Matching{}
-	usedY := make(map[int32]bool)
 	for _, v := range cover {
 		for _, w := range g.Neighbors(v) {
-			if inY[w] && coverDeg[w] == 1 && !usedY[w] {
+			if mark[w] == inY && coverDeg[w] == 1 {
 				m.Pairs = append(m.Pairs, [2]int32{v, w})
-				usedY[w] = true
+				mark[w] = usedY
 				break
 			}
 		}
+	}
+	for _, w := range y {
+		coverDeg[w] = 0
 	}
 	return m
 }

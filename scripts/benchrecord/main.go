@@ -25,9 +25,11 @@
 //
 // With -base-bench, both modes instead compare -lane-bench against that
 // baseline in the same run: ns/trial overhead (gated by -max-overhead)
-// and bytes per op (gated by -max-bytes-ratio). Benchmarks run at several
-// -cpu values are compared per GOMAXPROCS value (the "-N" name suffix),
-// each pair gated separately.
+// and bytes per op (gated by -max-bytes-ratio). When neither benchmark
+// reports ns/trial (one unit of work per op, e.g. building a schedule
+// against replaying it) the overhead is their same-run ns/op ratio.
+// Benchmarks run at several -cpu values are compared per GOMAXPROCS value
+// (the "-N" name suffix), each pair gated separately.
 package main
 
 import (
@@ -69,11 +71,13 @@ type record struct {
 
 // whatFor annotates the benchmarks this repository records.
 var whatFor = map[string]string{
-	"BenchmarkBroadcastReuse":        "scalar reference: BroadcastTimeOn on a caller-owned engine, sampled fast path, one trial per op",
-	"BenchmarkLaneBroadcast":         "bit-parallel lane engine: 64 trials per Engine.Run call on the same workload; ns/trial is the headline metric",
-	"BenchmarkLaneBroadcastSmall":    "lane engine at n=10000 d=25 for the EXPERIMENTS.md throughput table",
-	"BenchmarkBroadcastReusePerNode": "per-node sampling opt-out (pre-fast-path behaviour)",
-	"BenchmarkFacadeRunBatch":        "facade RunBatch through the unified execution layer (internal/exec): classification, seed derivation, balanced block sharding and pooled lane-engine checkout included; ns/trial and B/op vs BenchmarkLaneBroadcast are the executor overhead",
+	"BenchmarkBroadcastReuse":             "scalar reference: BroadcastTimeOn on a caller-owned engine, sampled fast path, one trial per op",
+	"BenchmarkLaneBroadcast":              "bit-parallel lane engine: 64 trials per Engine.Run call on the same workload; ns/trial is the headline metric",
+	"BenchmarkLaneBroadcastSmall":         "lane engine at n=10000 d=25 for the EXPERIMENTS.md throughput table",
+	"BenchmarkBroadcastReusePerNode":      "per-node sampling opt-out (pre-fast-path behaviour)",
+	"BenchmarkSubstrateCentralizedBuild":  "Theorem 5 schedule builder (core.BuildCentralizedSchedule via BuildSchedule), one schedule per op, seed = iteration index",
+	"BenchmarkSubstrateCentralizedReplay": "radio.ExecuteSchedule replay of the builder's schedules on the same graph, one replay per op; build ns/op over replay ns/op is the builder's overhead",
+	"BenchmarkFacadeRunBatch":             "facade RunBatch through the unified execution layer (internal/exec): classification, seed derivation, balanced block sharding and pooled lane-engine checkout included; ns/trial and B/op vs BenchmarkLaneBroadcast are the executor overhead",
 }
 
 func main() {
@@ -85,11 +89,11 @@ func main() {
 	refName := flag.String("ref-name", "", "acceptance reference description")
 	refNs := flag.Float64("ref-ns", 0, "acceptance reference cost in ns per trial")
 	acceptRatio := flag.Float64("accept-ratio", 0, "minimum speedup of -lane-bench ns/trial vs -ref-ns (0 = no gate)")
-	laneBench := flag.String("lane-bench", "BenchmarkLaneBroadcast", "benchmark whose ns/trial metric is the headline")
+	laneBench := flag.String("lane-bench", "BenchmarkLaneBroadcast", "benchmark whose ns/trial metric is the headline; with -base-bench, the benchmark compared against the base")
 	scalarBench := flag.String("scalar-bench", "BenchmarkBroadcastReuse", "scalar benchmark for -check's same-run ratio")
 	check := flag.Bool("check", false, "check mode: assert scalar ns/op / lane ns/trial >= -min-ratio, write no record")
 	minRatio := flag.Float64("min-ratio", 3, "minimum same-run speedup accepted by -check")
-	baseBench := flag.String("base-bench", "", "baseline benchmark for the same-run overhead gate: -lane-bench ns/trial over this benchmark's ns/trial must stay <= -max-overhead")
+	baseBench := flag.String("base-bench", "", "baseline benchmark for the same-run overhead gate: -lane-bench ns/trial (ns/op when neither reports ns/trial) over this benchmark's must stay <= -max-overhead")
 	maxOverhead := flag.Float64("max-overhead", 0, "maximum same-run overhead ratio accepted when -base-bench is set (0 = no gate)")
 	maxBytesRatio := flag.Float64("max-bytes-ratio", 0, "maximum same-run B/op of -lane-bench over -base-bench's B/op when -base-bench is set (0 = no gate)")
 	n := flag.Int("n", 100000, "workload graph size")
@@ -274,7 +278,8 @@ type comparison struct {
 }
 
 // compareToBase pairs laneName with baseName at every GOMAXPROCS value
-// the lane benchmark ran at; both must report ns/trial.
+// the lane benchmark ran at; both must report ns/trial, or neither (then
+// ns/op is compared).
 func compareToBase(results []*benchResult, laneName, baseName string) []comparison {
 	var cmps []comparison
 	for _, lane := range results {
@@ -285,8 +290,8 @@ func compareToBase(results []*benchResult, laneName, baseName string) []comparis
 		if base == nil {
 			fatal(fmt.Errorf("overhead gate needs %s at GOMAXPROCS=%d alongside %s", baseName, lane.Procs, laneName))
 		}
-		if lane.NsPerTrial == 0 || base.NsPerTrial == 0 {
-			fatal(fmt.Errorf("overhead gate needs ns/trial metrics on both %s and %s", laneName, baseName))
+		if (lane.NsPerTrial == 0) != (base.NsPerTrial == 0) {
+			fatal(fmt.Errorf("overhead gate needs ns/trial metrics on both %s and %s, or on neither", laneName, baseName))
 		}
 		cmps = append(cmps, comparison{lane.Procs, lane, base})
 	}
@@ -296,7 +301,20 @@ func compareToBase(results []*benchResult, laneName, baseName string) []comparis
 	return cmps
 }
 
-func (c comparison) overhead() float64 { return c.lane.NsPerTrial / c.base.NsPerTrial }
+// cost is a benchmark's per-unit time for the overhead ratio: ns/trial
+// when it reports one, else ns/op.
+func (r *benchResult) cost() (ns float64, unit string) {
+	if r.NsPerTrial != 0 {
+		return r.NsPerTrial, "ns/trial"
+	}
+	return r.NsPerOp, "ns/op"
+}
+
+func (c comparison) overhead() float64 {
+	lane, _ := c.lane.cost()
+	base, _ := c.base.cost()
+	return lane / base
+}
 
 // bytesRatio is the lane benchmark's B/op over the base's; a zero base
 // counts as one byte, so an allocation-free pair compares as 0.
@@ -305,8 +323,10 @@ func (c comparison) bytesRatio() float64 {
 }
 
 func (c comparison) overheadNote(bar float64) string {
-	return fmt.Sprintf("%s at %.0f ns/trial over %s at %.0f ns/trial in the same run, GOMAXPROCS=%d = %.3fx (%s)",
-		c.lane.Name, c.lane.NsPerTrial, c.base.Name, c.base.NsPerTrial, c.procs, c.overhead(), criterion(bar))
+	lane, unit := c.lane.cost()
+	base, _ := c.base.cost()
+	return fmt.Sprintf("%s at %.0f %s over %s at %.0f %s in the same run, GOMAXPROCS=%d = %.3fx (%s)",
+		c.lane.Name, lane, unit, c.base.Name, base, unit, c.procs, c.overhead(), criterion(bar))
 }
 
 func (c comparison) bytesNote(bar float64) string {
