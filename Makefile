@@ -36,12 +36,11 @@ bench:
 # parse the output, enforce each record's acceptance bar (BENCH_3: >= 6x
 # vs BENCH_2's recorded scalar trial cost; BENCH_4: facade overhead;
 # BENCH_5: facade overhead and B/op at -cpu 1,2; BENCH_6: schedule build
-# <= 3x its replay) and write the records. Override DATE / BENCH5_DATE /
-# BENCH6_DATE to restamp (same input + same date => same JSON, so
-# regeneration is diffable).
+# <= 3x its replay) and write the records. Override DATE / BENCH5_DATE to
+# restamp (same input + same date => same JSON, so regeneration is
+# diffable).
 DATE ?= 2026-08-08
 BENCH5_DATE ?= 2026-10-17
-BENCH6_DATE ?= 2026-10-17
 bench-record:
 	go test -run '^$$' -bench 'BenchmarkBroadcastReuse$$|BenchmarkLaneBroadcast$$|BenchmarkLaneBroadcastSmall$$' \
 		-benchmem -benchtime 2s . > /tmp/bench-record.out
@@ -63,7 +62,7 @@ bench-record:
 		-max-overhead 1.25 -max-bytes-ratio 1.1 -out BENCH_5.json
 	go test -run '^$$' -bench 'BenchmarkSubstrateCentralizedBuild$$|BenchmarkSubstrateCentralizedReplay$$' \
 		-benchmem -benchtime 2s . > /tmp/bench-record-build.out
-	go run ./scripts/benchrecord -in /tmp/bench-record-build.out -date $(BENCH6_DATE) \
+	go run ./scripts/benchrecord -in /tmp/bench-record-build.out -date 2026-10-17 \
 		-comment "Theorem 5 schedule builder record: BuildCentralizedSchedule (one BFS per build, sort-and-scan greedy independent covers on dense scratch) vs radio.ExecuteSchedule replaying the same schedules on the same n=20000 d=2ln(n) connected Gnp, same run. The builder simulates the radio model while it emits, so replay is its floor; the gate is the same-run ns/op ratio build/replay <= 3x (the map-based greedy cover measured 7-16x)." \
 		-lane-bench BenchmarkSubstrateCentralizedBuild -base-bench BenchmarkSubstrateCentralizedReplay \
 		-max-overhead 3 -n 20000 -d 19.81 -out BENCH_6.json

@@ -293,6 +293,37 @@ func TestClusterExhaustsLeaseBudget(t *testing.T) {
 	}
 }
 
+// TestClusterFailsShardOverWorkerMaxN: a worker rejects an offer whose
+// point exceeds its graph-size cap (400). Re-offering cannot help, so the
+// campaign fails with the worker's reason instead of retrying forever.
+func TestClusterFailsShardOverWorkerMaxN(t *testing.T) {
+	spec := testSpec() // points n60 and n80
+	w := newWorker(t, serve.Config{ShardWorkers: 1, MaxN: 70})
+	coord := newCoordinator(t, spec, cluster.Config{
+		Workers:  []string{w},
+		LeaseTTL: 2 * time.Second,
+		Backoff:  20 * time.Millisecond,
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	_, err := coord.Run(ctx)
+	if ctx.Err() != nil {
+		t.Fatal("campaign with an over-cap point never ended")
+	}
+	if err == nil {
+		t.Fatal("campaign with a point over the worker's n cap succeeded")
+	}
+	for _, want := range []string{"rejected the lease offer", "status 400", "n 80 outside [1, 70]"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
+	}
+	st := coord.Status()
+	if st.Counters.ShardsFailed != 1 || st.Counters.OfferErrors != 0 {
+		t.Errorf("counters %+v, want one failed shard and no transient offer errors", st.Counters)
+	}
+}
+
 // TestClusterResume: a coordinator canceled mid-campaign flushes its
 // checkpoint; a resumed coordinator leases only the incomplete shards
 // and converges to the byte-identical local report.

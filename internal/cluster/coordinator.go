@@ -329,18 +329,24 @@ func (c *Coordinator) expire(now time.Time) []Event {
 // returnToPending puts a shard back in the pending pool, or fails the
 // campaign when its lease budget is exhausted. Caller holds mu.
 func (c *Coordinator) returnToPending(s *shardState, why string) (Event, bool) {
-	s.lastErr = why
 	if s.attempts >= c.cfg.maxAttempts() {
-		s.state = ShardFailed
-		c.counters.ShardsFailed++
-		if c.failure == nil {
-			c.failure = fmt.Errorf("cluster: shard %s (points [%d,%d)) failed after %d lease(s): %s",
-				s.ID, s.Lo, s.Hi, s.attempts, why)
-		}
-		return Event{Type: "failed", Shard: s.ID, Attempt: s.attempts, Err: why}, true
+		return c.failShard(s, why), true
 	}
+	s.lastErr = why
 	s.state = ShardPending
 	return Event{}, false
+}
+
+// failShard marks a shard failed and fails the campaign. Caller holds mu.
+func (c *Coordinator) failShard(s *shardState, why string) Event {
+	s.lastErr = why
+	s.state = ShardFailed
+	c.counters.ShardsFailed++
+	if c.failure == nil {
+		c.failure = fmt.Errorf("cluster: shard %s (points [%d,%d)) failed after %d lease(s): %s",
+			s.ID, s.Lo, s.Hi, s.attempts, why)
+	}
+	return Event{Type: "failed", Shard: s.ID, Attempt: s.attempts, Err: why}
 }
 
 func (c *Coordinator) uncharge(rec *leaseRec) {
@@ -418,12 +424,13 @@ func (c *Coordinator) offer(s *shardState, w *workerState) {
 	resp, err := c.client.Post(w.url+"/v1/shard/lease", "application/json", bytes.NewReader(body))
 	var status int
 	var retryAfter time.Duration
+	var respBody []byte
 	if err == nil {
 		status = resp.StatusCode
 		if ra, perr := strconv.Atoi(resp.Header.Get("Retry-After")); perr == nil && ra >= 0 {
 			retryAfter = time.Duration(ra) * time.Second
 		}
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
+		respBody, _ = io.ReadAll(io.LimitReader(resp.Body, 4096))
 		resp.Body.Close()
 	}
 
@@ -468,6 +475,17 @@ func (c *Coordinator) offer(s *shardState, w *workerState) {
 		w.lastContact = now
 		c.counters.OffersBusy++
 		evs = append(evs, Event{Type: "busy", Shard: s.ID, Worker: w.url})
+	case err == nil && status >= 400 && status < 500:
+		// The worker rejected the offer itself — a malformed offer, or a
+		// point over its graph-size cap. Re-offering the same shard
+		// cannot succeed, so the shard and with it the campaign fail.
+		c.uncharge(rec)
+		delete(c.leases, offer.LeaseID)
+		s.leaseID = ""
+		s.worker = nil
+		w.lastContact = now
+		evs = append(evs, c.failShard(s, fmt.Sprintf("worker %s rejected the lease offer: status %d: %s",
+			w.url, status, bytes.TrimSpace(respBody))))
 	default:
 		// Connection failure or an unexpected status: back the worker off
 		// exponentially and re-offer the shard. Neither consumes a lease

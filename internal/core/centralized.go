@@ -108,45 +108,35 @@ func BuildCentralizedSchedule(g *graph.Graph, src int32, d float64, cfg Centrali
 	}
 	rng := xrand.New(cfg.Seed)
 
-	// One BFS: the layer sizes and the one layer the builder walks (T_{D*})
-	// are read off dist rather than from a second BFS in graph.Layers.
+	// One BFS: the layers are bucketed from dist, not recomputed.
 	dist := graph.Distances(g, src)
-	var layerSize []int
 	for v, dv := range dist {
 		if dv == graph.Unreachable {
 			return nil, trace, fmt.Errorf("core: %w: vertex %d unreachable from source %d", radio.ErrScheduleMismatch, v, src)
 		}
-		for int(dv) >= len(layerSize) {
-			layerSize = append(layerSize, 0)
-		}
-		layerSize[dv]++
 	}
-	trace.Layers = len(layerSize)
+	layers := graph.LayersOf(dist)
+	trace.Layers = len(layers)
 
 	// D*: the first layer of size >= n/d (the paper's first layer with
 	// Ω(n/d) nodes); if none, the graph is shallow/sparse and the tree
 	// phase alone spans all layers.
-	dStar := len(layerSize) - 1
-	for i, size := range layerSize {
-		if float64(size) >= float64(n)/d {
+	dStar := len(layers) - 1
+	for i, layer := range layers {
+		if float64(len(layer)) >= float64(n)/d {
 			dStar = i
 			break
 		}
 	}
 	trace.DStar = dStar
-	// T_{D*} in ascending vertex order, as graph.Layers lists it.
-	layerDStar := make([]int32, 0, layerSize[dStar])
-	for v, dv := range dist {
-		if dv == int32(dStar) {
-			layerDStar = append(layerDStar, int32(v))
-		}
-	}
 
 	e := radio.NewEngine(g, src, radio.StrictInformed)
 	sched := &radio.Schedule{}
 	// Builder-owned scratch, allocated O(n) once and reused by every cover
-	// round (see coverScratch).
-	sc := &coverScratch{Scratch: structure.NewScratch(n)}
+	// round: mark is epoch-stamped (mark[v] == epoch means "v is in the
+	// current candidate set"), so clearing it between rounds is a counter
+	// increment instead of a map allocation.
+	sc := &coverScratch{mark: make([]int32, n), cover: structure.NewScratch(n)}
 	emit := func(set []int32, phase *int) error {
 		owned := make([]int32, len(set))
 		copy(owned, set)
@@ -192,7 +182,7 @@ func BuildCentralizedSchedule(g *graph.Graph, src int32, d float64, cfg Centrali
 	// Θ(n/d) informed vertices of T_{D*} transmit.
 	if dStar > 0 && !e.Done() {
 		informedDStar := buf[:0]
-		for _, v := range layerDStar {
+		for _, v := range layers[dStar] {
 			if e.Informed(v) {
 				informedDStar = append(informedDStar, v)
 			}
@@ -211,7 +201,7 @@ func BuildCentralizedSchedule(g *graph.Graph, src int32, d float64, cfg Centrali
 					return nil, trace, err
 				}
 				informedDStar = informedDStar[:0]
-				for _, v := range layerDStar {
+				for _, v := range layers[dStar] {
 					if e.Informed(v) {
 						informedDStar = append(informedDStar, v)
 					}
@@ -318,13 +308,15 @@ func BuildCentralizedSchedule(g *graph.Graph, src int32, d float64, cfg Centrali
 }
 
 // coverScratch is the schedule builder's reusable working memory: one O(n)
-// allocation up front instead of per-round maps and slices. The embedded
-// structure.Scratch runs the greedy cover kernel, and its epoch-stamped
-// marks double as the round's candidate-membership set — a vertex is a
-// candidate iff its mark equals the round's stamp — so "clearing" it is
-// O(1) and coverSampleRate can test membership without a set of its own.
+// allocation up front instead of per-round maps and slices. mark doubles as
+// the candidate-membership set — mark[v] == epoch means v is a candidate of
+// the current cover round — so "clearing" it is epoch++ (O(1)), and
+// coverSampleRate can test membership without building its own set. cover
+// is the greedy independent cover kernel's own scratch.
 type coverScratch struct {
-	*structure.Scratch
+	mark     []int32
+	epoch    int32
+	cover    *structure.Scratch
 	targets  []int32
 	cands    []int32
 	set      []int32
@@ -377,15 +369,15 @@ func coverUntilInformed(e *radio.Engine, emit func([]int32, *int) error, counter
 			return nil
 		}
 		// Candidate transmitters: informed neighbours of the targets.
-		stamp, mark := sc.NextStamp(), sc.Marks()
+		sc.epoch++
 		cands := sc.cands[:0]
 		reachable := false
 		for _, y := range targets {
 			for _, x := range g.Neighbors(y) {
 				if e.Informed(x) {
 					reachable = true
-					if mark[x] != stamp {
-						mark[x] = stamp
+					if sc.mark[x] != sc.epoch {
+						sc.mark[x] = sc.epoch
 						cands = append(cands, x)
 					}
 				}
@@ -404,10 +396,10 @@ func coverUntilInformed(e *radio.Engine, emit func([]int32, *int) error, counter
 		// reserved for small tails.
 		var set []int32
 		if len(targets) > 64 {
-			q := coverSampleRate(g, targets, mark, stamp)
+			q := coverSampleRate(g, targets, sc)
 			set = rng.SubsetEach(sc.set[:0], cands, q)
 		} else {
-			set = sc.GreedyIndependentCover(g, cands, targets, sc.set[:0])
+			set = sc.cover.GreedyIndependentCover(g, cands, targets, sc.set[:0])
 		}
 		if len(set) == 0 {
 			// An empty sample, or a greedy that could not make an
@@ -424,13 +416,13 @@ func coverUntilInformed(e *radio.Engine, emit func([]int32, *int) error, counter
 
 // coverSampleRate estimates a good Bernoulli rate for a randomized cover:
 // 1 over the mean number of candidate-neighbours per target, clamped to
-// (0, 1]. Candidate membership is read from mark (stamped by the caller's
-// candidate pass), so no set is built here.
-func coverSampleRate(g *graph.Graph, targets []int32, mark []int32, stamp int32) float64 {
+// (0, 1]. Candidate membership is read from sc.mark (stamped by the
+// caller's candidate pass), so no set is built here.
+func coverSampleRate(g *graph.Graph, targets []int32, sc *coverScratch) float64 {
 	totalDeg := 0
 	for _, y := range targets {
 		for _, x := range g.Neighbors(y) {
-			if mark[x] == stamp {
+			if sc.mark[x] == sc.epoch {
 				totalDeg++
 			}
 		}

@@ -47,7 +47,14 @@ func Distances(g *Graph, src int32) []int32 {
 // paper. Unreachable vertices appear in no layer. Each layer slice is
 // sorted by vertex id.
 func Layers(g *Graph, src int32) [][]int32 {
-	dist := Distances(g, src)
+	return LayersOf(Distances(g, src))
+}
+
+// LayersOf buckets a distance vector (as returned by Distances) into the
+// layers Layers returns, so a caller that already holds dist needs no
+// second BFS. Unreachable vertices appear in no layer; each layer slice is
+// sorted by vertex id.
+func LayersOf(dist []int32) [][]int32 {
 	maxD := int32(0)
 	for _, d := range dist {
 		if d > maxD {

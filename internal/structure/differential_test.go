@@ -34,9 +34,9 @@ func randomSets(rng *xrand.Rand, n int, p float64, nx, ny int) (*graph.Graph, []
 	return b.Build(), draw(nx), draw(ny)
 }
 
-// checkAgainstReference runs every Section 2 construction on the shared
-// scratch sc (the covers also through their package-level entries), and
-// requires every result to equal the map-based reference exactly.
+// checkAgainstReference runs every Section 2 construction (the greedy
+// cover also as the kernel on the shared scratch sc) and requires every
+// result to equal the map-based reference exactly.
 func checkAgainstReference(t *testing.T, sc *Scratch, g *graph.Graph, x, y []int32) {
 	t.Helper()
 	want := refGreedyIndependentCover(g, x, y)
@@ -50,37 +50,29 @@ func checkAgainstReference(t *testing.T, sc *Scratch, g *graph.Graph, x, y []int
 	if len(want.Collided) != 0 {
 		t.Fatalf("reference greedy cover collided on %v", want.Collided)
 	}
-	if got, want := sc.evaluateCover(g, x, y), refEvaluateCover(g, x, y); !reflect.DeepEqual(got, want) {
+	if got, want := EvaluateCover(g, x, y), refEvaluateCover(g, x, y); !reflect.DeepEqual(got, want) {
 		t.Fatalf("EvaluateCover(x=%v, y=%v) = %+v, reference %+v", x, y, got, want)
 	}
-	if got, want := EvaluateCover(g, x, y), refEvaluateCover(g, x, y); !reflect.DeepEqual(got, want) {
-		t.Fatalf("package EvaluateCover(x=%v, y=%v) = %+v, reference %+v", x, y, got, want)
-	}
-	if got, want := sc.greedyIndependentMatching(g, x, y), refGreedyIndependentMatching(g, x, y); !reflect.DeepEqual(got, want) {
+	if got, want := GreedyIndependentMatching(g, x, y), refGreedyIndependentMatching(g, x, y); !reflect.DeepEqual(got, want) {
 		t.Fatalf("GreedyIndependentMatching(x=%v, y=%v) = %v, reference %v", x, y, got.Pairs, want.Pairs)
 	}
-	cover := sc.minimalCover(g, x, y)
+	cover := MinimalCover(g, x, y)
 	if want := refMinimalCover(g, x, y); !reflect.DeepEqual(cover, want) {
 		t.Fatalf("MinimalCover(x=%v, y=%v) = %v, reference %v", x, y, cover, want)
 	}
-	if got, want := sc.matchingFromMinimalCover(g, cover, y), refMatchingFromMinimalCover(g, cover, y); !reflect.DeepEqual(got, want) {
+	if got, want := MatchingFromMinimalCover(g, cover, y), refMatchingFromMinimalCover(g, cover, y); !reflect.DeepEqual(got, want) {
 		t.Fatalf("MatchingFromMinimalCover(cover=%v, y=%v) = %v, reference %v", cover, y, got.Pairs, want.Pairs)
 	}
 	// Arbitrary x (not a minimal cover) too: the construction is total.
-	if got, want := sc.matchingFromMinimalCover(g, x, y), refMatchingFromMinimalCover(g, x, y); !reflect.DeepEqual(got, want) {
+	if got, want := MatchingFromMinimalCover(g, x, y), refMatchingFromMinimalCover(g, x, y); !reflect.DeepEqual(got, want) {
 		t.Fatalf("MatchingFromMinimalCover(x=%v, y=%v) = %v, reference %v", x, y, got.Pairs, want.Pairs)
-	}
-	for i, c := range sc.count {
-		if c != 0 {
-			t.Fatalf("scratch counter %d left at %d after the constructions", i, c)
-		}
 	}
 }
 
 func TestConstructionsMatchReference(t *testing.T) {
 	rng := xrand.New(2005)
-	// One scratch shared by every case, across graph sizes, so stale
-	// stamps and counters from earlier calls (and on-demand growth) are
+	// One kernel scratch shared by every case, across graph sizes, so
+	// stale stamps from earlier calls (and on-demand growth) are
 	// exercised as well as fresh state.
 	sc := NewScratch(4)
 	for trial := 0; trial < 600; trial++ {
@@ -116,9 +108,10 @@ func TestScratchStampWraparound(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		sc.epoch = math.MaxInt32 - int32(i)
 		checkAgainstReference(t, sc, g, x, y)
-	}
-	if s := sc.NextStamp(); s <= 0 {
-		t.Fatalf("NextStamp after wraparound = %d, want a positive fresh stamp", s)
+		// The kernel reserves two stamps, so the top two epochs wrap.
+		if wrapped := sc.epoch == 2; wrapped != (i < 2) {
+			t.Fatalf("epoch %d after a call from MaxInt32-%d: wraparound %v, want %v", sc.epoch, i, wrapped, i < 2)
+		}
 	}
 }
 

@@ -2,64 +2,35 @@ package structure
 
 import "math"
 
-// Scratch is reusable dense working memory for the Section 2
-// constructions, so a caller that runs them repeatedly on one graph (the
-// Theorem 5 schedule builder runs a greedy cover per tail round) allocates
-// O(n) once instead of hash maps per call.
+// Scratch is reusable dense working memory for the greedy independent
+// cover kernel, so a caller that builds many covers on one graph (the
+// Theorem 5 schedule builder runs one per tail round) allocates O(n) once
+// instead of hash maps per call.
 //
-// It holds two vertex-indexed arrays:
-//
-//   - mark is epoch-stamped: a call reserves fresh stamps and a vertex is
-//     in a set iff its mark equals the set's stamp, so "clearing" every
-//     set between calls is a counter increment;
-//   - count is a per-vertex counter that is all-zero outside a call; each
-//     construction that uses it zeroes the entries it touched before
-//     returning.
+// Its vertex-indexed mark array is epoch-stamped: a call reserves fresh
+// stamps and a vertex is in a set iff its mark equals the set's stamp, so
+// "clearing" every set between calls is a counter increment.
 //
 // A Scratch is not safe for concurrent use.
 type Scratch struct {
 	mark  []int32
 	epoch int32
-	count []int32
-	keys  []uint64 // greedy cover: packed (degree, position) sort keys
+	keys  []uint64 // packed (degree, position) sort keys
 }
 
 // NewScratch returns scratch for graphs of up to n vertices. It grows on
-// demand when a construction is handed a larger graph.
+// demand when the kernel is handed a larger graph.
 func NewScratch(n int) *Scratch {
 	return &Scratch{mark: make([]int32, n)}
 }
 
-// NextStamp reserves a stamp that no vertex carries yet. A caller may use
-// it, through Marks, as a membership set of its own until its next
-// construction call on this scratch: that call reserves newer stamps, so
-// it never mistakes the caller's marks for its own, but it overwrites the
-// marks of the vertices it touches.
-func (s *Scratch) NextStamp() int32 { return s.stamps(1) }
-
-// Marks returns the epoch-stamped vertex mark array (length >= the n the
-// scratch was sized for). Re-fetch it after any call that may grow the
-// scratch.
-func (s *Scratch) Marks() []int32 { return s.mark }
-
-// fit grows the arrays to cover vertex ids below n. A grown mark array is
+// fit grows the mark array to cover vertex ids below n. A grown array is
 // fresh zeroes, so the epoch restarts.
 func (s *Scratch) fit(n int) {
 	if len(s.mark) < n {
 		s.mark = make([]int32, n)
 		s.epoch = 0
 	}
-	if s.count != nil && len(s.count) < n {
-		s.count = make([]int32, n)
-	}
-}
-
-// counts returns the all-zero counter array, allocating it on first use.
-func (s *Scratch) counts() []int32 {
-	if len(s.count) < len(s.mark) {
-		s.count = make([]int32, len(s.mark))
-	}
-	return s.count
 }
 
 // stamps reserves k consecutive fresh stamps and returns the first. When

@@ -8,16 +8,14 @@
 // schedule (Theorem 5 finishes with independent covers) and the subject of
 // the structural experiments E7/E8.
 //
-// The cover and matching constructions run on dense, reusable working
-// memory (Scratch): epoch-stamped vertex marks instead of hash-map sets,
-// so a caller that builds many covers on one graph allocates O(n) once.
-// Each package-level function (EvaluateCover, GreedyIndependentCover,
-// MinimalCover, MatchingFromMinimalCover, GreedyIndependentMatching) is a
-// thin wrapper that runs the construction on fresh scratch.
+// The cover and matching constructions keep their vertex sets and
+// counters in dense vertex-indexed arrays, not hash maps.
 // Scratch.GreedyIndependentCover is the schedule builder's
-// allocation-free kernel: the greedy's argmax loop reduces to one stable
-// order (target degree descending) and one scan, O(Σdeg + k log k) for k
-// useful candidates (see its doc comment for the equivalence argument).
+// allocation-free greedy cover kernel on reusable, epoch-stamped scratch:
+// the greedy's argmax loop reduces to one stable order (target degree
+// descending) and one scan, O(Σdeg + k log k) for k useful candidates (see
+// its doc comment for the equivalence argument). GreedyIndependentCover is
+// a thin wrapper over it plus EvaluateCover.
 package structure
 
 import (
@@ -64,23 +62,15 @@ func RandomizedCover(g *graph.Graph, x, y []int32, q float64, rng *xrand.Rand) *
 // EvaluateCover classifies each node of y by its number of neighbours in
 // the transmitter set s.
 func EvaluateCover(g *graph.Graph, s, y []int32) *Cover {
-	return NewScratch(g.N()).evaluateCover(g, s, y)
-}
-
-// evaluateCover is EvaluateCover on reusable scratch. The result's
-// Transmitters aliases tx.
-func (sc *Scratch) evaluateCover(g *graph.Graph, tx, y []int32) *Cover {
-	sc.fit(g.N())
-	inS := sc.stamps(1)
-	mark := sc.mark
-	for _, v := range tx {
-		mark[v] = inS
+	inS := make([]bool, g.N())
+	for _, v := range s {
+		inS[v] = true
 	}
-	c := &Cover{Transmitters: tx}
+	c := &Cover{Transmitters: s}
 	for _, w := range y {
 		count := 0
 		for _, nb := range g.Neighbors(w) {
-			if mark[nb] == inS {
+			if inS[nb] {
 				count++
 				if count >= 2 {
 					break
@@ -110,8 +100,8 @@ func (sc *Scratch) evaluateCover(g *graph.Graph, tx, y []int32) *Cover {
 // schedule, where only a handful of nodes remain uninformed and the
 // randomized construction would waste rounds.
 func GreedyIndependentCover(g *graph.Graph, x, y []int32) *Cover {
-	sc := NewScratch(g.N())
-	return sc.evaluateCover(g, sc.GreedyIndependentCover(g, x, y, make([]int32, 0, len(y))), y)
+	tx := NewScratch(g.N()).GreedyIndependentCover(g, x, y, make([]int32, 0, len(y)))
+	return EvaluateCover(g, tx, y)
 }
 
 // GreedyIndependentCover is the greedy cover kernel: it appends the
@@ -203,19 +193,14 @@ func (m *Matching) IsIndependent(g *graph.Graph) bool {
 // second statement of Lemma 4: when |X|/|Y| = Ω(d²) almost every y finds
 // a private neighbour.
 func GreedyIndependentMatching(g *graph.Graph, x, y []int32) *Matching {
-	return NewScratch(g.N()).greedyIndependentMatching(g, x, y)
-}
-
-// greedyIndependentMatching is GreedyIndependentMatching on reusable
-// scratch.
-func (sc *Scratch) greedyIndependentMatching(g *graph.Graph, x, y []int32) *Matching {
-	sc.fit(g.N())
-	inX := sc.stamps(2) // x ∈ X, unmatched
-	matchedX := inX + 1
-	mark := sc.mark
-	matchedY := sc.counts() // 1 for matched y, zeroed again on return
+	const (
+		inX      = 1 // x ∈ X, unmatched
+		matchedX = 2
+	)
+	xState := make([]uint8, g.N())
+	matchedY := make([]bool, g.N())
 	for _, v := range x {
-		mark[v] = inX
+		xState[v] = inX
 	}
 	m := &Matching{}
 	for _, w := range y {
@@ -223,12 +208,12 @@ func (sc *Scratch) greedyIndependentMatching(g *graph.Graph, x, y []int32) *Matc
 		// pairs matched so far: w has no edge to a matched x, and x has
 		// no edge to a matched y other than w. Later pairs check against
 		// (x, w) the same way, so every pair of pairs is checked once.
-		if matchedY[w] != 0 {
+		if matchedY[w] {
 			continue
 		}
 		wOK := true
 		for _, nb := range g.Neighbors(w) {
-			if mark[nb] == matchedX {
+			if xState[nb] == matchedX {
 				wOK = false
 				break
 			}
@@ -237,26 +222,23 @@ func (sc *Scratch) greedyIndependentMatching(g *graph.Graph, x, y []int32) *Matc
 			continue
 		}
 		for _, cand := range g.Neighbors(w) {
-			if mark[cand] != inX {
+			if xState[cand] != inX {
 				continue
 			}
 			ok := true
 			for _, nb := range g.Neighbors(cand) {
-				if nb != w && matchedY[nb] != 0 {
+				if nb != w && matchedY[nb] {
 					ok = false
 					break
 				}
 			}
 			if ok {
-				mark[cand] = matchedX
-				matchedY[w] = 1
+				xState[cand] = matchedX
+				matchedY[w] = true
 				m.Pairs = append(m.Pairs, [2]int32{cand, w})
 				break
 			}
 		}
-	}
-	for _, p := range m.Pairs {
-		matchedY[p[1]] = 0
 	}
 	return m
 }
@@ -267,24 +249,16 @@ func (sc *Scratch) greedyIndependentMatching(g *graph.Graph, x, y []int32) *Matc
 // y still covered. The result is minimal in the set-inclusion sense: no
 // proper subset covers the same y's.
 func MinimalCover(g *graph.Graph, x, y []int32) []int32 {
-	return NewScratch(g.N()).minimalCover(g, x, y)
-}
-
-// minimalCover is MinimalCover on reusable scratch. The
-// returned slice is freshly allocated.
-func (sc *Scratch) minimalCover(g *graph.Graph, x, y []int32) []int32 {
-	sc.fit(g.N())
-	inY := sc.stamps(1)
-	mark := sc.mark
-	coverCount := sc.counts() // chosen x adjacent to w ∈ Y; zeroed on return
+	inY := make([]bool, g.N())
+	coverCount := make([]int32, g.N()) // chosen x adjacent to w ∈ Y
 	for _, w := range y {
-		mark[w] = inY
+		inY[w] = true
 	}
 	var chosen []int32
 	for _, v := range x {
 		useful := false
 		for _, w := range g.Neighbors(v) {
-			if mark[w] == inY {
+			if inY[w] {
 				useful = true
 				coverCount[w]++
 			}
@@ -298,23 +272,20 @@ func (sc *Scratch) minimalCover(g *graph.Graph, x, y []int32) []int32 {
 	for _, v := range chosen {
 		redundant := true
 		for _, w := range g.Neighbors(v) {
-			if mark[w] == inY && coverCount[w] == 1 {
+			if inY[w] && coverCount[w] == 1 {
 				redundant = false
 				break
 			}
 		}
 		if redundant {
 			for _, w := range g.Neighbors(v) {
-				if mark[w] == inY {
+				if inY[w] {
 					coverCount[w]--
 				}
 			}
 		} else {
 			kept = append(kept, v)
 		}
-	}
-	for _, w := range y {
-		coverCount[w] = 0
 	}
 	return kept
 }
@@ -324,23 +295,18 @@ func (sc *Scratch) minimalCover(g *graph.Graph, x, y []int32) []int32 {
 // adjacent to no other member of X'; pairing them yields an independent
 // matching of size |X'|.
 func MatchingFromMinimalCover(g *graph.Graph, cover, y []int32) *Matching {
-	return NewScratch(g.N()).matchingFromMinimalCover(g, cover, y)
-}
-
-// matchingFromMinimalCover is MatchingFromMinimalCover on reusable
-// scratch.
-func (sc *Scratch) matchingFromMinimalCover(g *graph.Graph, cover, y []int32) *Matching {
-	sc.fit(g.N())
-	inY := sc.stamps(2) // w ∈ Y, not yet used as a private neighbour
-	usedY := inY + 1
-	mark := sc.mark
-	coverDeg := sc.counts() // cover members adjacent to w ∈ Y; zeroed on return
+	const (
+		inY   = 1 // w ∈ Y, not yet used as a private neighbour
+		usedY = 2
+	)
+	yState := make([]uint8, g.N())
+	coverDeg := make([]int32, g.N()) // cover members adjacent to w ∈ Y
 	for _, w := range y {
-		mark[w] = inY
+		yState[w] = inY
 	}
 	for _, v := range cover {
 		for _, w := range g.Neighbors(v) {
-			if mark[w] == inY {
+			if yState[w] == inY {
 				coverDeg[w]++
 			}
 		}
@@ -348,15 +314,12 @@ func (sc *Scratch) matchingFromMinimalCover(g *graph.Graph, cover, y []int32) *M
 	m := &Matching{}
 	for _, v := range cover {
 		for _, w := range g.Neighbors(v) {
-			if mark[w] == inY && coverDeg[w] == 1 {
+			if yState[w] == inY && coverDeg[w] == 1 {
 				m.Pairs = append(m.Pairs, [2]int32{v, w})
-				mark[w] = usedY
+				yState[w] = usedY
 				break
 			}
 		}
-	}
-	for _, w := range y {
-		coverDeg[w] = 0
 	}
 	return m
 }
