@@ -137,7 +137,7 @@ func BenchmarkBroadcast(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res := Broadcast(g, 0, d, rng)
+		res, _ := Run(g, 0, WithDegree(d), WithRand(rng), WithPerNodeSampling())
 		if !res.Completed {
 			b.Fatal("incomplete")
 		}
@@ -171,7 +171,7 @@ func BenchmarkBroadcastReuse(b *testing.B) {
 // BenchmarkBroadcastReusePerNode is BenchmarkBroadcastReuse with the
 // sampled-transmitter fast path disabled (SetPerNodeSampling): the engine
 // asks the protocol for one Bernoulli decision per informed node per round
-// — the pre-fast-path behaviour the deprecated wrappers keep. The ratio
+// — the pre-fast-path behaviour WithPerNodeSampling keeps. The ratio
 // BroadcastReusePerNode / BroadcastReuse is the fast-path speedup recorded
 // in BENCH_2.json.
 func BenchmarkBroadcastReusePerNode(b *testing.B) {
@@ -376,7 +376,7 @@ func BenchmarkSubstrateCentralizedBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkSubstrateCentralizedReplay replays, with radio.ExecuteSchedule,
+// BenchmarkSubstrateCentralizedReplay replays, with Run + WithSchedule,
 // the schedules BenchmarkSubstrateCentralizedBuild builds (same graph, a
 // cycle of its first seeds). The builder simulates the radio model round
 // by round while it emits, so its cost over this replay cost is the
@@ -400,7 +400,7 @@ func BenchmarkSubstrateCentralizedReplay(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := radio.ExecuteSchedule(g, 0, scheds[i%len(scheds)], radio.StrictInformed)
+		res, err := Run(g, 0, WithSchedule(scheds[i%len(scheds)]))
 		if err != nil || !res.Completed {
 			b.Fatalf("replay failed: %v (completed=%v)", err, res.Completed)
 		}
@@ -417,7 +417,7 @@ func BenchmarkSubstrateDistributedRun(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := Broadcast(g, 0, d, rng)
+		res, _ := Run(g, 0, WithDegree(d), WithRand(rng), WithPerNodeSampling())
 		if !res.Completed {
 			b.Fatal("incomplete")
 		}

@@ -145,6 +145,20 @@ func TestErrNoSuchSource(t *testing.T) {
 	}
 }
 
+// TestSourceSweepClampsK: SourceSweep clamps k to [0, n] — a negative k
+// sweeps no sources and k > n sweeps every vertex once.
+func TestSourceSweepClampsK(t *testing.T) {
+	g := testGraph(t, 100, 8, 1)
+	for _, k := range []int{-1, -100} {
+		if times := SourceSweep(g, k, 8, NewRand(1)); len(times) != 0 {
+			t.Fatalf("SourceSweep(k=%d) returned %d times, want none", k, len(times))
+		}
+	}
+	if times := SourceSweep(g, 500, 8, NewRand(1)); len(times) != 100 {
+		t.Fatalf("SourceSweep(k=500) on n=100 returned %d times, want 100", len(times))
+	}
+}
+
 // TestErrConflictingOptions: every option-conflict path wraps the
 // sentinel, so callers can classify misuse without string matching.
 func TestErrConflictingOptions(t *testing.T) {

@@ -1,10 +1,12 @@
 package repro
 
-// Regression guard for the sampled-transmitter fast path: the deprecated
-// positional entry points (Broadcast, RunProtocol, BroadcastMulti) are
-// frozen to their historical per-node randomness streams. The golden
-// values below were recorded BEFORE the fast path landed (commit
-// b0c4f2c); if any of these assertions fails, a wrapper's stream drifted.
+// Regression guard for the sampled-transmitter fast path: Run with
+// WithPerNodeSampling is frozen to the historical per-node randomness
+// stream. The golden values below were recorded BEFORE the fast path
+// landed (commit b0c4f2c), through the positional wrappers Broadcast,
+// RunProtocol and BroadcastMulti that have since been retired; each case
+// keeps its wrapper's name and runs the Run form that wrapper forwarded
+// to. If any of these assertions fails, the per-node stream drifted.
 
 import (
 	"hash/fnv"
@@ -45,21 +47,29 @@ func TestDeprecatedWrapperStreamsFrozen(t *testing.T) {
 		name string
 		seed uint64
 		want uint64 // recorded pre-fast-path fingerprint
-		run  func(seed uint64) Result
+		run  func(seed uint64) (Result, error)
 	}{
-		{"Broadcast/seed3", 3, 13442191628768536704, func(s uint64) Result { return Broadcast(g, 0, d, NewRand(s)) }},
-		{"Broadcast/seed9", 9, 17540272938987344624, func(s uint64) Result { return Broadcast(g, 0, d, NewRand(s)) }},
-		{"RunProtocol/seed5", 5, 16578885538056467629, func(s uint64) Result {
-			return RunProtocol(g, 0, NewProtocol(n, d), MaxRounds(n), NewRand(s))
+		{"Broadcast/seed3", 3, 13442191628768536704, func(s uint64) (Result, error) {
+			return Run(g, 0, WithDegree(d), WithRand(NewRand(s)), WithPerNodeSampling())
 		}},
-		{"BroadcastMulti/seed7", 7, 17027192350006751548, func(s uint64) Result {
-			return BroadcastMulti(g, []int32{0, 41, 97}, d, NewRand(s))
+		{"Broadcast/seed9", 9, 17540272938987344624, func(s uint64) (Result, error) {
+			return Run(g, 0, WithDegree(d), WithRand(NewRand(s)), WithPerNodeSampling())
+		}},
+		{"RunProtocol/seed5", 5, 16578885538056467629, func(s uint64) (Result, error) {
+			return Run(g, 0, WithProtocol(NewProtocol(n, d)), WithMaxRounds(MaxRounds(n)), WithRand(NewRand(s)), WithPerNodeSampling())
+		}},
+		{"BroadcastMulti/seed7", 7, 17027192350006751548, func(s uint64) (Result, error) {
+			return Run(g, 0, WithSources(41, 97), WithDegree(d), WithRand(NewRand(s)), WithPerNodeSampling())
 		}},
 	} {
-		got := fingerprint(tc.run(tc.seed))
+		res, err := tc.run(tc.seed)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		got := fingerprint(res)
 		t.Logf("GOLDEN %s: %d", tc.name, got)
 		if tc.want != 0 && got != tc.want {
-			t.Errorf("%s: fingerprint %d, frozen golden %d — the deprecated wrapper's randomness stream changed", tc.name, got, tc.want)
+			t.Errorf("%s: fingerprint %d, frozen golden %d — the per-node randomness stream changed", tc.name, got, tc.want)
 		}
 	}
 }

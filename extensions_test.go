@@ -37,7 +37,10 @@ func TestFacadeCrashAndBroadcast(t *testing.T) {
 	if sc.SrcNew < 0 {
 		t.Fatal("source crashed")
 	}
-	res := Broadcast(sc.Sub, sc.SrcNew, d*0.7, rng)
+	res, err := Run(sc.Sub, sc.SrcNew, WithDegree(d*0.7), WithRand(rng), WithPerNodeSampling())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Informed < sc.ReachableFromSource() {
 		t.Fatalf("informed %d < reachable %d", res.Informed, sc.ReachableFromSource())
 	}
@@ -51,7 +54,10 @@ func TestFacadeBroadcastMulti(t *testing.T) {
 	if !ok {
 		t.Skip("no connected sample")
 	}
-	res := BroadcastMulti(g, []int32{0, int32(n / 2), int32(n - 1)}, d, rng)
+	res, err := Run(g, 0, WithSources(n/2, n-1), WithDegree(d), WithRand(rng), WithPerNodeSampling())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !res.Completed {
 		t.Fatalf("multi-source incomplete: %d/%d", res.Informed, n)
 	}
@@ -96,7 +102,7 @@ func TestFacadeScheduleIO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ExecuteSchedule(g, 0, got)
+	res, err := Run(g, 0, WithSchedule(got))
 	if err != nil || !res.Completed {
 		t.Fatalf("round-tripped schedule invalid: %v informed=%d", err, res.Informed)
 	}
@@ -150,7 +156,7 @@ func TestFacadeGridSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ExecuteSchedule(g, 0, sched)
+	res, err := Run(g, 0, WithSchedule(sched))
 	if err != nil || !res.Completed {
 		t.Fatalf("grid schedule: %v informed=%d", err, res.Informed)
 	}

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
 
+	"repro/internal/exec"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/radio"
@@ -37,7 +39,7 @@ func TestCentralizedScheduleCompletesOnGnp(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d d=%v: %v", tc.n, tc.d, err)
 		}
-		res, err := radio.ExecuteSchedule(g, 0, sched, radio.StrictInformed)
+		res, err := replay(g, 0, sched)
 		if err != nil {
 			t.Fatalf("replay failed: %v", err)
 		}
@@ -90,7 +92,7 @@ func TestCentralizedScheduleStrictValidity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := radio.ExecuteSchedule(g, 3, sched, radio.StrictInformed); err != nil {
+	if _, err := replay(g, 3, sched); err != nil {
 		t.Fatalf("schedule uses uninformed transmitter: %v", err)
 	}
 }
@@ -120,7 +122,7 @@ func TestCentralizedOnDenseGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := radio.ExecuteSchedule(g, 0, sched, radio.StrictInformed)
+	res, err := replay(g, 0, sched)
 	if err != nil || !res.Completed {
 		t.Fatalf("dense replay failed: %v %+v (%s)", err, res.Informed, trace)
 	}
@@ -137,7 +139,7 @@ func TestCentralizedOnPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := radio.ExecuteSchedule(g, 0, sched, radio.StrictInformed)
+	res, err := replay(g, 0, sched)
 	if err != nil || !res.Completed {
 		t.Fatalf("path schedule failed: %v, informed %d", err, res.Informed)
 	}
@@ -152,7 +154,7 @@ func TestCentralizedOnStarAndComplete(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		res, err := radio.ExecuteSchedule(g, 0, sched, radio.StrictInformed)
+		res, err := replay(g, 0, sched)
 		if err != nil || !res.Completed {
 			t.Fatalf("%s failed: %v informed=%d", name, err, res.Informed)
 		}
@@ -182,7 +184,7 @@ func TestCentralizedSingleVertex(t *testing.T) {
 	if err != nil {
 		t.Fatalf("single vertex: %v", err)
 	}
-	res, err := radio.ExecuteSchedule(g, 0, sched, radio.StrictInformed)
+	res, err := replay(g, 0, sched)
 	if err != nil || !res.Completed {
 		t.Fatalf("single-vertex broadcast: %v %+v", err, res)
 	}
@@ -198,7 +200,7 @@ func TestCentralizedAblationNoCoverFinish(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := radio.ExecuteSchedule(g, 0, sched, radio.StrictInformed)
+	res, err := replay(g, 0, sched)
 	if err != nil || !res.Completed {
 		t.Fatalf("no-cover-finish schedule failed: %v informed=%d", err, res.Informed)
 	}
@@ -212,7 +214,7 @@ func TestCentralizedAblationNonDisjoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := radio.ExecuteSchedule(g, 0, sched, radio.StrictInformed)
+	res, err := replay(g, 0, sched)
 	if err != nil || !res.Completed {
 		t.Fatalf("non-disjoint schedule failed: %v informed=%d", err, res.Informed)
 	}
@@ -239,7 +241,7 @@ func TestCentralizedScalesLogarithmically(t *testing.T) {
 func TestRoundRobinSchedule(t *testing.T) {
 	g := mustConnected(t, 300, 10, 23)
 	s := RoundRobinSchedule(g, 0)
-	res, err := radio.ExecuteSchedule(g, 0, s, radio.StrictInformed)
+	res, err := replay(g, 0, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +256,7 @@ func TestRoundRobinSchedule(t *testing.T) {
 func TestRoundRobinOnPath(t *testing.T) {
 	g := gen.Path(20)
 	s := RoundRobinSchedule(g, 0)
-	res, err := radio.ExecuteSchedule(g, 0, s, radio.StrictInformed)
+	res, err := replay(g, 0, s)
 	if err != nil || !res.Completed {
 		t.Fatalf("round-robin on path: %v %+v", err, res.Informed)
 	}
@@ -354,7 +356,7 @@ func TestCentralizedZeroConfigDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := radio.ExecuteSchedule(g, 0, sched, radio.StrictInformed)
+	res, err := replay(g, 0, sched)
 	if err != nil || !res.Completed {
 		t.Fatalf("zero-config schedule failed: %v informed=%d", err, res.Informed)
 	}
@@ -368,8 +370,32 @@ func TestCentralizedTinyDegreeClamped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := radio.ExecuteSchedule(g, 0, sched, radio.StrictInformed)
+	res, err := replay(g, 0, sched)
 	if err != nil || !res.Completed {
 		t.Fatalf("clamped-degree schedule failed: %v informed=%d", err, res.Informed)
 	}
+}
+
+// replay replays s from src on g through exec.
+func replay(g *graph.Graph, src int32, s *radio.Schedule) (radio.Result, error) {
+	return exec.Run(context.Background(), &exec.Request{Graph: g, Sources: []int32{src}, Schedule: s}, nil)
+}
+
+// runProtocol runs one trial of p from src on g through exec.
+func runProtocol(g *graph.Graph, src int32, p radio.Protocol, maxRounds int, rng *xrand.Rand) radio.Result {
+	res, err := exec.Run(context.Background(), &exec.Request{Graph: g, Sources: []int32{src}, Protocol: p, MaxRounds: maxRounds}, rng)
+	if err != nil {
+		panic(err)
+	}
+	return res
+}
+
+// broadcastTime runs one trial of p from src on g through exec and
+// returns its completion round, maxRounds+1 if it did not finish.
+func broadcastTime(g *graph.Graph, src int32, p radio.Protocol, maxRounds int, rng *xrand.Rand) int {
+	r, err := exec.Time(context.Background(), &exec.Request{Graph: g, Sources: []int32{src}, Protocol: p, MaxRounds: maxRounds}, rng)
+	if err != nil {
+		panic(err)
+	}
+	return r
 }

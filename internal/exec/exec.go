@@ -1,11 +1,12 @@
 // Package exec is the unified execution layer: one place that picks a
-// simulation backend, owns engine lifecycle and reuse, and counts what
-// ran. Every consumer — the root facade (Run/RunBatch), internal/sweep,
-// the campaign runners and the serving layer — dispatches through an
-// Executor instead of constructing radio or lane engines itself, so
-// backend selection, fallback and pooling have exactly one
-// implementation and one metrics surface, and a new backend (e.g. a
-// collision-detection feedback engine) plugs in here once.
+// simulation backend, owns engine lifecycle and reuse, turns a driven
+// engine into a Result or a completion round, and counts what ran.
+// Every consumer — the root facade (Run/RunBatch), internal/sweep, the
+// experiments, the campaign runners, the serving layer and the CLIs —
+// dispatches through an Executor instead of constructing radio or lane
+// engines itself, so backend selection, fallback and pooling have
+// exactly one implementation and one metrics surface, and a new backend
+// (e.g. a collision-detection feedback engine) plugs in here once.
 //
 // Classification:
 //
@@ -38,6 +39,7 @@ package exec
 import (
 	"container/list"
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -103,16 +105,18 @@ type Request struct {
 	// backend for batches.
 	Observer trace.Observer
 
-	// Engine, when non-nil, runs the request on this caller-owned engine
-	// (the facade WithEngine path): its sources, observer and sampling
-	// mode are re-initialised from the request and result reuse is
-	// enabled, so a run is bit-identical to a fresh-engine run. The
-	// caller keeps ownership; exec never pools it.
+	// Engine, when non-nil, runs the request — protocol trial or
+	// schedule replay — on this caller-owned engine (the facade
+	// WithEngine and *On paths): its sources, observer and sampling mode
+	// are re-initialised from the request, so a run is bit-identical to a
+	// fresh-engine run. The engine's own TransmitterPolicy applies to
+	// replays and its SetResultReuse setting to Results. The caller keeps
+	// ownership; exec never pools it.
 	Engine *radio.Engine
 
 	// Pool checks a scalar engine out of the executor's per-graph pool
-	// for the run and back in afterwards — the serving layer's
-	// steady-state path. Ignored when Engine is set.
+	// for the run (protocol or schedule) and back in afterwards — the
+	// serving layer's steady-state path. Ignored when Engine is set.
 	Pool bool
 
 	// ForceScalar refuses the lane backend for batches even when the
@@ -243,25 +247,34 @@ func ClassifyBatch(req *Request) Backend {
 
 // Run executes one trial of req and returns the full Result. Schedules
 // replay deterministically (rng unused); protocols run the scalar
-// engine with rng. Cancellation is cooperative between rounds: a
-// canceled ctx returns the partial Result and an error wrapping
-// radio.ErrCanceled.
+// engine with rng. Either runs on the engine checkout resolves (the
+// caller's, a pooled or a fresh one). Cancellation is cooperative
+// between rounds: a canceled ctx returns the partial Result and an
+// error wrapping radio.ErrCanceled. A schedule that violates the radio
+// model returns a zero Result and an error wrapping
+// radio.ErrScheduleMismatch.
 func (x *Executor) Run(ctx context.Context, req *Request, rng *xrand.Rand) (radio.Result, error) {
 	if err := checkSources(req); err != nil {
 		return radio.Result{}, err
 	}
-	if req.Schedule != nil {
-		x.c[BackendSchedule].runs.Add(1)
-		x.c[BackendSchedule].trials.Add(1)
-		return radio.ExecuteScheduleObservedContext(ctx, req.Graph, req.Sources, req.Schedule, radio.StrictInformed, req.Observer)
-	}
+	b := Classify(req)
+	x.c[b].runs.Add(1)
+	x.c[b].trials.Add(1)
 	e, pooled := x.checkout(req)
-	x.c[BackendScalar].runs.Add(1)
-	x.c[BackendScalar].trials.Add(1)
-	res, err := e.RunProtocolContext(ctx, req.Protocol, req.MaxRounds, rng)
+	var err error
+	if req.Schedule != nil {
+		err = e.ExecuteSchedule(ctx, req.Schedule)
+	} else {
+		err = e.RunProtocol(ctx, req.Protocol, req.MaxRounds, rng)
+	}
+	var res radio.Result
+	if err == nil || errors.Is(err, radio.ErrCanceled) {
+		res = e.Result()
+	}
 	if pooled {
 		// Clean return only: a panicking trial abandons the engine to the
-		// GC instead of pooling corrupt state.
+		// GC instead of pooling corrupt state. A rejected schedule round
+		// leaves the engine unchanged, so it pools like any other.
 		x.release(e)
 	}
 	return res, err
@@ -277,11 +290,48 @@ func (x *Executor) Time(ctx context.Context, req *Request, rng *xrand.Rand) (int
 	e, pooled := x.checkout(req)
 	x.c[BackendScalar].runs.Add(1)
 	x.c[BackendScalar].trials.Add(1)
-	r, err := radio.BroadcastTimeOnContext(ctx, e, req.Protocol, req.MaxRounds, rng)
+	r, err := completion(ctx, e, req, rng)
 	if pooled {
 		x.release(e)
 	}
 	return r, err
+}
+
+// completion runs one protocol trial of req on e, which must be in its
+// initial state (fresh from checkout, or Reset by a caller that reuses
+// it), and returns the completion round, or maxRounds+1 if the broadcast
+// did not finish — the sentinel that keeps incomplete runs visibly worse
+// than any complete run when aggregating. A canceled run reports the
+// sentinel too, alongside the error wrapping radio.ErrCanceled. It
+// builds no Result, so a trial on a reused engine allocates nothing.
+// Every timed scalar trial goes through here.
+func completion(ctx context.Context, e *radio.Engine, req *Request, rng *xrand.Rand) (int, error) {
+	err := e.RunProtocol(ctx, req.Protocol, req.MaxRounds, rng)
+	if !e.Done() {
+		return req.MaxRounds + 1, err
+	}
+	return e.RoundCount(), err
+}
+
+// SourceSweep runs p once from each of k sources drawn uniformly without
+// replacement by rng and returns the per-source completion rounds
+// (maxRounds+1 for incomplete runs) — the "for any u ∈ V" measurement of
+// the paper's theorems (experiment E18). Source i's trial draws from
+// rng.Derive(i+1). One engine serves every source. k is clamped to
+// [0, n], so a negative k yields no sources.
+func SourceSweep(g *graph.Graph, k int, p radio.Protocol, maxRounds int, rng *xrand.Rand) []int {
+	k = max(0, min(k, g.N()))
+	sources := rng.Sample(g.N(), k)
+	out := make([]int, len(sources))
+	if len(sources) == 0 {
+		return out
+	}
+	req := &Request{Graph: g, Protocol: p, MaxRounds: maxRounds, Engine: radio.NewEngine(g, sources[0], radio.StrictInformed)}
+	for i := range sources {
+		req.Sources = sources[i : i+1]
+		out[i], _ = Time(context.Background(), req, rng.Derive(uint64(i)+1))
+	}
+	return out
 }
 
 // RunSeeds executes one trial per seed, out[i] receiving seed i's
@@ -448,8 +498,8 @@ func (x *Executor) runSeedsScalar(ctx context.Context, req *Request, seeds []uin
 			for i := range next {
 				// A canceled trial leaves out[i] at the engine's partial
 				// count; the ctx.Err() check below reports the batch failed.
-				r, _ := radio.BroadcastTimeOnContext(ctx, e, req.Protocol, req.MaxRounds, xrand.New(seeds[i]))
-				out[i] = r
+				e.Reset()
+				out[i], _ = completion(ctx, e, req, xrand.New(seeds[i]))
 			}
 		}()
 	}
@@ -477,7 +527,6 @@ func (x *Executor) checkout(req *Request) (e *radio.Engine, pooled bool) {
 	case req.Engine != nil:
 		e = req.Engine
 		e.SetSources(req.Sources)
-		e.SetResultReuse(true)
 	case req.Pool:
 		e = x.AcquireEngine(req.Graph)
 		e.SetSources(req.Sources)
@@ -613,15 +662,7 @@ func (s *Session) Backend() Backend {
 // scalar returns the session's scalar engine, building it on first use.
 func (s *Session) scalar() *radio.Engine {
 	if s.engine == nil {
-		if s.req.Engine != nil {
-			s.engine = s.req.Engine
-			s.engine.SetSources(s.req.Sources)
-			s.engine.SetResultReuse(true)
-		} else {
-			s.engine = radio.NewEngineMulti(s.req.Graph, s.req.Sources, radio.StrictInformed)
-		}
-		s.engine.Attach(s.req.Observer)
-		s.engine.SetPerNodeSampling(s.req.PerNode)
+		s.engine, _ = s.x.checkout(&s.req) // Open cleared Pool: never pooled
 	}
 	return s.engine
 }
@@ -634,7 +675,8 @@ func (s *Session) Time(ctx context.Context, rng *xrand.Rand) (int, error) {
 	e := s.scalar()
 	s.x.c[BackendScalar].runs.Add(1)
 	s.x.c[BackendScalar].trials.Add(1)
-	return radio.BroadcastTimeOnContext(ctx, e, s.req.Protocol, s.req.MaxRounds, rng)
+	e.Reset()
+	return completion(ctx, e, &s.req, rng)
 }
 
 // RunSeeds runs one trial per seed through the session's batch backend:
@@ -653,7 +695,8 @@ func (s *Session) RunSeeds(ctx context.Context, seeds []uint64, out []int) error
 		s.x.c[BackendScalar].fallbacks.Add(1)
 		e := s.scalar()
 		for i, seed := range seeds {
-			r, err := radio.BroadcastTimeOnContext(ctx, e, s.req.Protocol, s.req.MaxRounds, xrand.New(seed))
+			e.Reset()
+			r, err := completion(ctx, e, &s.req, xrand.New(seed))
 			if err != nil {
 				return err
 			}

@@ -42,6 +42,17 @@ func protoReq(g *graph.Graph) *exec.Request {
 	}
 }
 
+// directTime resets e and drives req's protocol on it directly, returning
+// the completion round with Time's maxRounds+1 sentinel.
+func directTime(e *radio.Engine, req *exec.Request, seed uint64) int {
+	e.Reset()
+	e.RunProtocol(context.Background(), req.Protocol, req.MaxRounds, xrand.New(seed))
+	if !e.Done() {
+		return req.MaxRounds + 1
+	}
+	return e.RoundCount()
+}
+
 func testSchedule(t testing.TB, g *graph.Graph) *radio.Schedule {
 	t.Helper()
 	sched, _, err := core.BuildCentralizedSchedule(g, 0, testD, core.DefaultCentralizedConfig(7))
@@ -100,7 +111,10 @@ func TestRunMatchesEngine(t *testing.T) {
 	req := protoReq(g)
 
 	e := radio.NewEngineMulti(g, []int32{0}, radio.StrictInformed)
-	want := e.RunProtocol(req.Protocol, req.MaxRounds, xrand.New(5))
+	if err := e.RunProtocol(context.Background(), req.Protocol, req.MaxRounds, xrand.New(5)); err != nil {
+		t.Fatal(err)
+	}
+	want := e.Result()
 
 	got, err := x.Run(context.Background(), req, xrand.New(5))
 	if err != nil {
@@ -116,25 +130,89 @@ func TestRunMatchesEngine(t *testing.T) {
 }
 
 // TestRunSchedule: schedule requests replay deterministically through
-// the schedule backend and count there.
+// the schedule backend and count there — on a fresh, a pooled or a
+// caller-owned engine alike.
 func TestRunSchedule(t *testing.T) {
 	x := exec.New()
 	g := testGraph(t, 3)
 	sched := testSchedule(t, g)
-	want, err := radio.ExecuteSchedule(g, 0, sched, radio.StrictInformed)
-	if err != nil {
+	e := radio.NewEngine(g, 0, radio.StrictInformed)
+	if err := e.ExecuteSchedule(context.Background(), sched); err != nil {
 		t.Fatal(err)
 	}
-	got, err := x.Run(context.Background(), &exec.Request{Graph: g, Sources: []int32{0}, Schedule: sched}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Rounds != want.Rounds || got.Completed != want.Completed {
-		t.Errorf("exec schedule replay = %+v, direct = %+v", got, want)
+	want := e.Result()
+	for _, req := range []*exec.Request{
+		{Graph: g, Sources: []int32{0}, Schedule: sched},
+		{Graph: g, Sources: []int32{0}, Schedule: sched, Pool: true},
+		{Graph: g, Sources: []int32{0}, Schedule: sched, Pool: true},
+		{Graph: g, Sources: []int32{0}, Schedule: sched, Engine: e},
+	} {
+		got, err := x.Run(context.Background(), req, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Rounds != want.Rounds || got.Completed != want.Completed || got.Stats != want.Stats {
+			t.Errorf("exec schedule replay (pool %v, engine %v) = %+v, direct = %+v", req.Pool, req.Engine != nil, got, want)
+		}
+		for v := range want.InformedAt {
+			if got.InformedAt[v] != want.InformedAt[v] {
+				t.Fatalf("InformedAt[%d] = %d, direct %d", v, got.InformedAt[v], want.InformedAt[v])
+			}
+		}
 	}
 	st := x.Snapshot()
-	if st.Schedule.Runs != 1 || st.Scalar.Runs != 0 {
-		t.Errorf("counters = %+v, want the run on the schedule backend", st)
+	if st.Schedule.Runs != 4 || st.Scalar.Runs != 0 {
+		t.Errorf("counters = %+v, want every run on the schedule backend", st)
+	}
+	if st.Scalar.PoolMisses != 1 || st.Scalar.PoolHits != 1 {
+		t.Errorf("pool counters = %+v, want one miss then one hit", st.Scalar)
+	}
+}
+
+// TestRunScheduleMismatch: a schedule that breaks the radio model is an
+// error wrapping radio.ErrScheduleMismatch with a zero Result, and the
+// pooled engine it ran on replays the next schedule correctly.
+func TestRunScheduleMismatch(t *testing.T) {
+	x := exec.New()
+	g := gen.Path(4)
+	bad := &radio.Schedule{Sets: [][]int32{{0}, {3}}}
+	res, err := x.Run(context.Background(), &exec.Request{Graph: g, Sources: []int32{0}, Schedule: bad, Pool: true}, nil)
+	if !errors.Is(err, radio.ErrScheduleMismatch) || res.N != 0 {
+		t.Fatalf("bad schedule: res %+v, err %v; want zero Result and ErrScheduleMismatch", res, err)
+	}
+	good := &radio.Schedule{Sets: [][]int32{{0}, {1}, {2}}}
+	res, err = x.Run(context.Background(), &exec.Request{Graph: g, Sources: []int32{0}, Schedule: good, Pool: true}, nil)
+	if err != nil || !res.Completed || res.Rounds != 3 {
+		t.Fatalf("replay after a rejected schedule: %+v, %v", res, err)
+	}
+	if st := x.Snapshot(); st.Scalar.PoolHits != 1 {
+		t.Errorf("pool hits = %d, want the rejected run's engine reused", st.Scalar.PoolHits)
+	}
+}
+
+// TestTimeSentinel: Time reports maxRounds+1 for a broadcast that does
+// not finish within its budget — also when canceled — and the completion
+// round otherwise, on every scalar path.
+func TestTimeSentinel(t *testing.T) {
+	x := exec.New()
+	g := gen.Path(6)
+	never := radio.ProtocolFunc(func(v int32, round int, at int32, r *xrand.Rand) bool { return false })
+	always := radio.ProtocolFunc(func(v int32, round int, at int32, r *xrand.Rand) bool { return true })
+	req := &exec.Request{Graph: g, Sources: []int32{0}, Protocol: never, MaxRounds: 10}
+	if got, err := x.Time(context.Background(), req, xrand.New(1)); err != nil || got != 11 {
+		t.Errorf("Time(never) = %d, %v; want 11", got, err)
+	}
+	if got, err := x.Open(req).Time(context.Background(), xrand.New(1)); err != nil || got != 11 {
+		t.Errorf("Session.Time(never) = %d, %v; want 11", got, err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if got, err := x.Time(ctx, req, xrand.New(1)); !errors.Is(err, radio.ErrCanceled) || got != 11 {
+		t.Errorf("canceled Time = %d, %v; want 11 and ErrCanceled", got, err)
+	}
+	req.Protocol = always
+	if got, err := x.Time(context.Background(), req, xrand.New(1)); err != nil || got != 5 {
+		t.Errorf("Time(always) = %d, %v; want 5", got, err)
 	}
 }
 
@@ -195,7 +273,7 @@ func TestRunSeedsFallback(t *testing.T) {
 	}
 	e := radio.NewEngineMulti(g, []int32{0}, radio.StrictInformed)
 	for i, seed := range seeds {
-		if want := radio.BroadcastTimeOn(e, req.Protocol, req.MaxRounds, xrand.New(seed)); got[i] != want {
+		if want := directTime(e, req, seed); got[i] != want {
 			t.Fatalf("trial %d: exec %d vs direct scalar %d", i, got[i], want)
 		}
 	}
@@ -252,7 +330,7 @@ func TestSessionTime(t *testing.T) {
 			t.Fatal(err)
 		}
 		e := radio.NewEngineMulti(g, []int32{0}, radio.StrictInformed)
-		if want := radio.BroadcastTimeOn(e, req.Protocol, req.MaxRounds, xrand.New(seed)); got != want {
+		if want := directTime(e, req, seed); got != want {
 			t.Fatalf("trial %d: session %d vs fresh engine %d", trial, got, want)
 		}
 	}

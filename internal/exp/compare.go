@@ -3,10 +3,12 @@ package exp
 // Experiments E5, E10 and E11: protocol and model comparisons.
 
 import (
+	"context"
 	"fmt"
 	"math"
 
 	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/protocols"
@@ -65,9 +67,12 @@ func runE5(cfg Config) []*table.Table {
 	} {
 		p := entry.p
 		// One trial per energy figure suffices; rounds get the full sweep.
-		energyRes := radio.RunProtocol(g, 0, p, maxRounds, rng.Derive(hash(entry.name)))
+		energyRes, err := exec.Run(context.Background(), &exec.Request{Graph: g, Sources: []int32{0}, Protocol: p, MaxRounds: maxRounds}, rng.Derive(hash(entry.name)))
+		if err != nil {
+			panic(err)
+		}
 		samples := sweep.Run(trials, cfg.Seed+hash(entry.name), func(r *xrand.Rand) float64 {
-			return float64(radio.BroadcastTime(g, 0, p, maxRounds, r))
+			return trialRounds(g, p, maxRounds, r)
 		})
 		completed := 0
 		for _, s := range samples {
@@ -125,7 +130,7 @@ func runE10(cfg Config) []*table.Table {
 		n := tp.g.N()
 		maxR := 200 * core.MaxRoundsFor(n)
 		radioT := sweep.Run(trials, cfg.Seed+hash(tp.name), func(r *xrand.Rand) float64 {
-			return float64(radio.BroadcastTime(tp.g, 0, core.NewDistributedProtocol(n, tp.d), core.MaxRoundsFor(n), r))
+			return trialRounds(tp.g, core.NewDistributedProtocol(n, tp.d), core.MaxRoundsFor(n), r)
 		})
 		pushT := sweep.Run(trials, cfg.Seed+hash(tp.name)+1, func(r *xrand.Rand) float64 {
 			return float64(rumor.SpreadTime(tp.g, 0, rumor.Push, maxR, r))
@@ -173,7 +178,7 @@ func runE11(cfg Config) []*table.Table {
 			})
 			dist := sweep.Run(trials, cfg.Seed+uint64(i)*601+hash(model)+5, func(rng *xrand.Rand) float64 {
 				g := sampleModel(model, n, p, m, rng)
-				return float64(distributedRounds(g, d, rng))
+				return distributedRounds(g, d, rng)
 			})
 			t.AddRow(n, d, model, stats.Mean(cent), stats.Mean(dist))
 		}

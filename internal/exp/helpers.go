@@ -1,9 +1,11 @@
 package exp
 
 import (
+	"context"
 	"math"
 
 	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/radio"
@@ -30,7 +32,7 @@ func centralizedRounds(g *graph.Graph, d float64, seed uint64) int {
 	if err != nil {
 		panic(err)
 	}
-	res, err := radio.ExecuteSchedule(g, 0, sched, radio.StrictInformed)
+	res, err := replay(g, sched)
 	if err != nil {
 		panic(err)
 	}
@@ -42,8 +44,24 @@ func centralizedRounds(g *graph.Graph, d float64, seed uint64) int {
 
 // distributedRounds runs the Theorem 7 protocol once and returns the
 // completion round (sentinel maxRounds+1 if incomplete).
-func distributedRounds(g *graph.Graph, d float64, rng *xrand.Rand) int {
-	return radio.BroadcastTime(g, 0, core.NewDistributedProtocol(g.N(), d), core.MaxRoundsFor(g.N()), rng)
+func distributedRounds(g *graph.Graph, d float64, rng *xrand.Rand) float64 {
+	return trialRounds(g, core.NewDistributedProtocol(g.N(), d), core.MaxRoundsFor(g.N()), rng)
+}
+
+// trialRounds runs one trial of p from vertex 0 of g through exec and
+// returns its completion round as a sample, maxRounds+1 if the broadcast
+// did not finish.
+func trialRounds(g *graph.Graph, p radio.Protocol, maxRounds int, rng *xrand.Rand) float64 {
+	r, err := exec.Time(context.Background(), &exec.Request{Graph: g, Sources: []int32{0}, Protocol: p, MaxRounds: maxRounds}, rng)
+	if err != nil {
+		panic(err)
+	}
+	return float64(r)
+}
+
+// replay replays s from vertex 0 of g through exec.
+func replay(g *graph.Graph, s *radio.Schedule) (radio.Result, error) {
+	return exec.Run(context.Background(), &exec.Request{Graph: g, Sources: []int32{0}, Schedule: s}, nil)
 }
 
 // summarizeRounds compacts samples into (mean, p10, p90).

@@ -5,11 +5,13 @@ package exp
 // robustness, and community-structured topologies.
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
 
 	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/faults"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -67,7 +69,7 @@ func runE15(cfg Config) []*table.Table {
 			if err != nil {
 				panic(err)
 			}
-			res, err := radio.ExecuteSchedule(g, 0, sched, radio.StrictInformed)
+			res, err := replay(g, sched)
 			if err != nil {
 				panic(err)
 			}
@@ -82,7 +84,7 @@ func runE15(cfg Config) []*table.Table {
 			if err != nil {
 				panic(err)
 			}
-			res, err := radio.ExecuteSchedule(g, 0, comp, radio.StrictInformed)
+			res, err := replay(g, comp)
 			if err != nil {
 				panic(err)
 			}
@@ -93,14 +95,14 @@ func runE15(cfg Config) []*table.Table {
 			if err != nil {
 				panic(err)
 			}
-			res, err := radio.ExecuteSchedule(g, 0, sched, radio.StrictInformed)
+			res, err := replay(g, sched)
 			if err != nil {
 				panic(err)
 			}
 			return res
 		}},
 		{"round robin (naive)", func(g *graph.Graph, rng *xrand.Rand) radio.Result {
-			res, err := radio.ExecuteSchedule(g, 0, core.RoundRobinSchedule(g, 0), radio.StrictInformed)
+			res, err := replay(g, core.RoundRobinSchedule(g, 0))
 			if err != nil {
 				panic(err)
 			}
@@ -145,7 +147,10 @@ func runE16(cfg Config) []*table.Table {
 			reachable := sc.ReachableFromSource()
 			dSurv := d * (1 - q)
 			p := core.NewDistributedProtocol(sc.Sub.N(), dSurv)
-			res := radio.RunProtocol(sc.Sub, sc.SrcNew, p, 4*core.MaxRoundsFor(n), rng)
+			res, err := exec.Run(context.Background(), &exec.Request{Graph: sc.Sub, Sources: []int32{sc.SrcNew}, Protocol: p, MaxRounds: 4 * core.MaxRoundsFor(n)}, rng)
+			if err != nil {
+				panic(err)
+			}
 			frac := 1.0
 			if reachable > 0 {
 				frac = float64(res.Informed) / float64(reachable)
@@ -196,7 +201,7 @@ func runE17(cfg Config) []*table.Table {
 			}
 			dTotal := dIn + b/half
 			p := core.NewDistributedProtocol(n, dTotal)
-			return float64(radio.BroadcastTime(g, 0, p, maxR, rng))
+			return trialRounds(g, p, maxR, rng)
 		})
 		for _, s := range samples {
 			if int(s) <= maxR {

@@ -98,7 +98,7 @@ func runE4(cfg Config) []*table.Table {
 			d := regime.d(n)
 			samples := sweep.Run(trials, cfg.Seed+uint64(i)*307, func(rng *xrand.Rand) float64 {
 				g := sampleConnected(n, d, rng)
-				return float64(distributedRounds(g, d, rng))
+				return distributedRounds(g, d, rng)
 			})
 			mean, p10, p90 := summarizeRounds(samples)
 			lnN := core.DistributedBound(n)

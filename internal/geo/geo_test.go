@@ -1,9 +1,11 @@
 package geo
 
 import (
+	"context"
 	"math"
 	"testing"
 
+	"repro/internal/exec"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/radio"
@@ -32,7 +34,7 @@ func TestGridScheduleCompletesCollisionFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := radio.ExecuteSchedule(g, 0, sched, radio.StrictInformed)
+	res, err := replay(g, 0, sched)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +118,7 @@ func TestGridScheduleNonUDGEdgesRejected(t *testing.T) {
 	if err != nil {
 		return // rejection is acceptable
 	}
-	res, err := radio.ExecuteSchedule(g, 0, sched, radio.StrictInformed)
+	res, err := replay(g, 0, sched)
 	if err != nil || !res.Completed {
 		t.Fatalf("returned schedule invalid: %v informed=%d", err, res.Informed)
 	}
@@ -128,7 +130,7 @@ func TestGridScheduleSingleton(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := radio.ExecuteSchedule(g, 0, sched, radio.StrictInformed)
+	res, err := replay(g, 0, sched)
 	if err != nil || !res.Completed {
 		t.Fatalf("singleton: %v", err)
 	}
@@ -142,4 +144,9 @@ func BenchmarkGridSchedule(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// replay replays s from src on g through exec.
+func replay(g *graph.Graph, src int32, s *radio.Schedule) (radio.Result, error) {
+	return exec.Run(context.Background(), &exec.Request{Graph: g, Sources: []int32{src}, Schedule: s}, nil)
 }

@@ -31,6 +31,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/lanes"
@@ -220,7 +221,7 @@ func TestLaneBudgetAndDegenerateCases(t *testing.T) {
 		}
 	}
 
-	// Zero budget: the sentinel is 1, matching radio.BroadcastTimeOn.
+	// Zero budget: the sentinel is 1, matching exec.Time.
 	plan0 := mustPlan(t, p, 0)
 	e0 := lanes.NewEngine(g, []int32{0}, plan0)
 	out0 := make([]int, 2)
@@ -352,9 +353,9 @@ func TestLaneVsScalarDistribution(t *testing.T) {
 		t.Fatal(err)
 	}
 	scalar := make([]int, trials)
-	e := radio.NewEngine(g, 0, radio.StrictInformed)
+	sess := exec.Open(&exec.Request{Graph: g, Sources: []int32{0}, Protocol: p, MaxRounds: maxRounds})
 	for i, s := range seeds {
-		scalar[i] = radio.BroadcastTimeOn(e, p, maxRounds, xrand.New(s))
+		scalar[i], _ = sess.Time(context.Background(), xrand.New(s))
 	}
 	chi2, df := twoSampleChiSquare(lane, scalar, 8)
 	if limit := float64(df) + 5*math.Sqrt(2*float64(df)); chi2 > limit {

@@ -9,6 +9,9 @@ package lower
 // independent witness.
 
 import (
+	"context"
+
+	"repro/internal/exec"
 	"repro/internal/graph"
 	"repro/internal/radio"
 	"repro/internal/xrand"
@@ -20,8 +23,12 @@ import (
 // the broadcast (validated first; if it does not, TightenSchedule returns
 // it unchanged with completed=false).
 func TightenSchedule(g *graph.Graph, src int32, s *radio.Schedule, iterations int, rng *xrand.Rand) (*radio.Schedule, int, bool) {
+	// One engine replays every candidate. It filters uninformed
+	// transmitters: mutations may move a transmitter before it is
+	// informed, and the filter keeps the semantics physical.
+	req := &exec.Request{Graph: g, Sources: []int32{src}, Engine: radio.NewEngine(g, src, radio.FilterUninformed)}
 	best := cloneSchedule(s)
-	bestRounds, ok := executedRounds(g, src, best)
+	bestRounds, ok := executedRounds(req, best)
 	if !ok {
 		return best, bestRounds, false
 	}
@@ -52,7 +59,7 @@ func TightenSchedule(g *graph.Graph, src int32, s *radio.Schedule, iterations in
 				cand.Sets = append(cand.Sets[:i], cand.Sets[i+1:]...)
 			}
 		}
-		if rounds, ok := executedRounds(g, src, cand); ok && rounds <= bestRounds {
+		if rounds, ok := executedRounds(req, cand); ok && rounds <= bestRounds {
 			cand.Sets = cand.Sets[:rounds]
 			best = cand
 			bestRounds = rounds
@@ -69,11 +76,12 @@ func cloneSchedule(s *radio.Schedule) *radio.Schedule {
 	return c
 }
 
-// executedRounds replays the schedule under FilterUninformed (mutations
-// may move a transmitter before it is informed; the filter keeps the
-// semantics physical) and reports the completion round.
-func executedRounds(g *graph.Graph, src int32, s *radio.Schedule) (int, bool) {
-	res, err := radio.ExecuteSchedule(g, src, s, radio.FilterUninformed)
+// executedRounds replays the schedule through req (on its
+// FilterUninformed engine) and reports the rounds executed and whether
+// the broadcast completed.
+func executedRounds(req *exec.Request, s *radio.Schedule) (int, bool) {
+	req.Schedule = s
+	res, err := exec.Run(context.Background(), req, nil)
 	if err != nil {
 		return 0, false
 	}

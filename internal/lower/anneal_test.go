@@ -23,7 +23,7 @@ func TestTightenRoundRobinCollapses(t *testing.T) {
 		t.Fatalf("no shortening: %d -> %d", rr.Len(), rounds)
 	}
 	// Validity: the returned schedule completes under the filter policy.
-	res, err := radio.ExecuteSchedule(g, 0, tightened, radio.FilterUninformed)
+	res, err := replay(g, 0, tightened, radio.FilterUninformed)
 	if err != nil || !res.Completed {
 		t.Fatalf("tightened schedule invalid: %v informed=%d", err, res.Informed)
 	}

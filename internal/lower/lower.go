@@ -27,8 +27,10 @@
 package lower
 
 import (
+	"context"
 	"math"
 
+	"repro/internal/exec"
 	"repro/internal/graph"
 	"repro/internal/radio"
 	"repro/internal/xrand"
@@ -298,21 +300,23 @@ func CandidateSequences(d float64, period int) []*SequenceProtocol {
 // the given number of trials and returns the best (smallest) mean
 // completion time found and the protocol achieving it. Incomplete runs
 // count as maxRounds+1. Candidates are uniform protocols, so each trial
-// samples its per-round transmitter set in O(k) (radio.BroadcastTimeOn's
-// sampled path) rather than flipping a coin per informed node.
+// samples its per-round transmitter set in O(k) (the engine's sampled
+// path) rather than flipping a coin per informed node.
 func OptimizeSequence(g *graph.Graph, src int32, d float64, maxRounds, trials int, rng *xrand.Rand) (float64, *SequenceProtocol) {
 	period := int(math.Ceil(math.Log2(float64(g.N()) + 2)))
 	cands := CandidateSequences(d, period)
 	best := math.Inf(1)
 	var bestP *SequenceProtocol
-	// One engine for the whole search: BroadcastTimeOn resets it per
-	// trial, and engine construction consumes no randomness, so results
-	// are bit-identical to the fresh-engine-per-trial form.
-	e := radio.NewEngine(g, src, radio.StrictInformed)
+	// One engine for the whole search: exec.Time resets it per trial,
+	// and engine construction consumes no randomness, so results are
+	// bit-identical to the fresh-engine-per-trial form.
+	req := &exec.Request{Graph: g, Sources: []int32{src}, MaxRounds: maxRounds, Engine: radio.NewEngine(g, src, radio.StrictInformed)}
 	for _, p := range cands {
+		req.Protocol = p
 		total := 0.0
 		for t := 0; t < trials; t++ {
-			total += float64(radio.BroadcastTimeOn(e, p, maxRounds, rng.Derive(uint64(t))))
+			r, _ := exec.Time(context.Background(), req, rng.Derive(uint64(t)))
+			total += float64(r)
 		}
 		mean := total / float64(trials)
 		if mean < best {

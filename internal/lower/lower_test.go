@@ -51,12 +51,12 @@ func TestGreedyAdaptiveCompletesAndIsValid(t *testing.T) {
 		t.Fatalf("greedy incomplete: %d/400", res.Informed)
 	}
 	// Replay validates the schedule independently.
-	replay, err := radio.ExecuteSchedule(g, 0, sched, radio.StrictInformed)
-	if err != nil || !replay.Completed {
-		t.Fatalf("replay: %v %d", err, replay.Informed)
+	rep, err := replay(g, 0, sched, radio.StrictInformed)
+	if err != nil || !rep.Completed {
+		t.Fatalf("replay: %v %d", err, rep.Informed)
 	}
-	if replay.Rounds != res.Rounds {
-		t.Fatalf("replay rounds %d != build rounds %d", replay.Rounds, res.Rounds)
+	if rep.Rounds != res.Rounds {
+		t.Fatalf("replay rounds %d != build rounds %d", rep.Rounds, res.Rounds)
 	}
 }
 
@@ -109,7 +109,7 @@ func TestGreedyFasterThanConstructive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	constructive, err := radio.ExecuteSchedule(g, 0, sched, radio.StrictInformed)
+	constructive, err := replay(g, 0, sched, radio.StrictInformed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,14 +317,14 @@ func TestSequenceProtocolPathsAgree(t *testing.T) {
 	g, p, maxRounds := sequenceFixture(t)
 	const trials = 800
 	seeds := sweep.Seeds(trials, 41)
-	e := radio.NewEngine(g, 0, radio.StrictInformed)
+	req := &exec.Request{Graph: g, Sources: []int32{0}, Protocol: p, MaxRounds: maxRounds}
 	sampled, perNode := make([]int, trials), make([]int, trials)
 	for i, s := range seeds {
-		sampled[i] = radio.BroadcastTimeOn(e, p, maxRounds, xrand.New(s))
+		sampled[i], _ = exec.Time(context.Background(), req, xrand.New(s))
 	}
-	e.SetPerNodeSampling(true)
+	req.PerNode = true
 	for i, s := range seeds {
-		perNode[i] = radio.BroadcastTimeOn(e, p, maxRounds, xrand.New(s))
+		perNode[i], _ = exec.Time(context.Background(), req, xrand.New(s))
 	}
 	plan, ok := lanes.NewPlan(p, maxRounds)
 	if !ok {
@@ -443,4 +443,10 @@ func BenchmarkSurvivorThreshold(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		SurvivorThreshold(1<<20, 400, 0.5, rng)
 	}
+}
+
+// replay replays s from src on g under policy through exec.
+func replay(g *graph.Graph, src int32, s *radio.Schedule, policy radio.TransmitterPolicy) (radio.Result, error) {
+	req := &exec.Request{Graph: g, Sources: []int32{src}, Schedule: s, Engine: radio.NewEngine(g, src, policy)}
+	return exec.Run(context.Background(), req, nil)
 }

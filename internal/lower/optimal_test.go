@@ -151,11 +151,11 @@ func TestOptimalMatchesReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replay, err := radio.ExecuteSchedule(g, 0, sched, radio.StrictInformed)
+	rep, err := replay(g, 0, sched, radio.StrictInformed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opt > res.Rounds || opt > replay.Rounds || opt < graph.Eccentricity(g, 0) {
+	if opt > res.Rounds || opt > rep.Rounds || opt < graph.Eccentricity(g, 0) {
 		t.Fatalf("sandwich violated: ecc=%d opt=%d greedy=%d", graph.Eccentricity(g, 0), opt, res.Rounds)
 	}
 }

@@ -14,6 +14,7 @@ package oracle
 // ORACLE_DIFF_CASES=N scales every suite up for soak runs.
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -109,7 +110,7 @@ func TestDifferentialPerNode(t *testing.T) {
 		e.SetPerNodeSampling(true)
 		rec := &trace.Recorder{}
 		e.Attach(rec)
-		res := e.RunProtocol(p, mr, xrand.New(seed))
+		res := drive(e, p, mr, xrand.New(seed))
 
 		o := New(g, []int32{src}, radio.StrictInformed)
 		ores := o.RunProtocol(p, mr, xrand.New(seed))
@@ -143,7 +144,7 @@ func TestDifferentialSampled(t *testing.T) {
 		e := radio.NewEngine(g, src, radio.StrictInformed) // sampled by default
 		rec := &TxRecorder{}
 		e.Attach(rec)
-		res := e.RunProtocol(p, mr, xrand.New(seed))
+		res := drive(e, p, mr, xrand.New(seed))
 
 		o := New(g, []int32{src}, radio.StrictInformed)
 		ores, err := o.Replay(rec.Sets)
@@ -256,25 +257,12 @@ func TestDifferentialRoundClassification(t *testing.T) {
 		if d := CompareRecords(rec.Records, o.Records); d != "" {
 			t.Fatalf("case %d (%v): records diverge:\n%s", i, g, d)
 		}
-		if d := Compare(engineResult(e), o.Result()); d != "" {
+		if d := Compare(e.Result(), o.Result()); d != "" {
 			t.Fatalf("case %d (%v): final state diverges:\n%s", i, g, d)
 		}
 	}
 	if dense == 0 || sparse == 0 {
 		t.Fatalf("classification coverage: %d dense, %d sparse rounds — both branches must be exercised", dense, sparse)
-	}
-}
-
-// engineResult snapshots a manually driven engine as a radio.Result for
-// the comparator (the run helpers do this via their own resultOf).
-func engineResult(e *radio.Engine) radio.Result {
-	return radio.Result{
-		Completed:  e.Done(),
-		Rounds:     e.RoundCount(),
-		Informed:   e.InformedCount(),
-		N:          e.Graph().N(),
-		InformedAt: e.InformedTimes(),
-		Stats:      e.Stats(),
 	}
 }
 
@@ -324,7 +312,10 @@ func TestDifferentialSchedule(t *testing.T) {
 		}
 
 		rec := &trace.Recorder{}
-		res, errE := radio.ExecuteScheduleObserved(g, []int32{src}, s, policy, rec)
+		e := radio.NewEngine(g, src, policy)
+		e.Attach(rec)
+		errE := e.ExecuteSchedule(context.Background(), s)
+		res := e.Result()
 		o := New(g, []int32{src}, policy)
 		ores, errO := o.ExecuteSchedule(s)
 
@@ -374,7 +365,7 @@ func TestDifferentialMultiSource(t *testing.T) {
 		// Per-node path: same stream as the oracle.
 		e := radio.NewEngineMulti(g, sources, radio.StrictInformed)
 		e.SetPerNodeSampling(true)
-		res := e.RunProtocol(p, mr, xrand.New(seed))
+		res := drive(e, p, mr, xrand.New(seed))
 		o := New(g, sources, radio.StrictInformed)
 		ores := o.RunProtocol(p, mr, xrand.New(seed))
 		if d := Compare(res, ores); d != "" {
@@ -386,7 +377,7 @@ func TestDifferentialMultiSource(t *testing.T) {
 		e2 := radio.NewEngineMulti(g, sources, radio.StrictInformed)
 		rec := &TxRecorder{}
 		e2.Attach(rec)
-		res2 := e2.RunProtocol(p, mr, xrand.New(seed))
+		res2 := drive(e2, p, mr, xrand.New(seed))
 		o2 := New(g, sources, radio.StrictInformed)
 		ores2, err := o2.Replay(rec.Sets)
 		if err != nil {
@@ -429,7 +420,7 @@ func TestDifferentialFaulted(t *testing.T) {
 
 		e := radio.NewEngine(sub, sc.SrcNew, radio.StrictInformed)
 		e.SetPerNodeSampling(true)
-		res := e.RunProtocol(p, mr, xrand.New(seed))
+		res := drive(e, p, mr, xrand.New(seed))
 		o := New(sub, []int32{sc.SrcNew}, radio.StrictInformed)
 		ores := o.RunProtocol(p, mr, xrand.New(seed))
 		if d := Compare(res, ores); d != "" {
@@ -528,7 +519,7 @@ func TestDenseBoundaryExact(t *testing.T) {
 				t.Fatalf("n=%d k=%d (2k=%d vs n=%d): newly differ: engine %v, oracle %v",
 					n, k, 2*k, n, newlyE, newlyO)
 			}
-			if d := Compare(engineResult(e), o.Result()); d != "" {
+			if d := Compare(e.Result(), o.Result()); d != "" {
 				t.Fatalf("n=%d k=%d: state diverges at the classification boundary:\n%s", n, k, d)
 			}
 		}
@@ -565,8 +556,24 @@ func TestDenseSaturation(t *testing.T) {
 		if e.Informed(0) != wantHub {
 			t.Fatalf("k=%d: hub informed=%v, want %v", k, e.Informed(0), wantHub)
 		}
-		if d := Compare(engineResult(e), o.Result()); d != "" {
+		if d := Compare(e.Result(), o.Result()); d != "" {
 			t.Fatalf("k=%d: state diverges under saturation:\n%s", k, d)
 		}
 	}
+}
+
+// drive runs p on the engine's current state (no reset) and returns the
+// engine's Result — the optimized engine path under test.
+func drive(e *radio.Engine, p radio.Protocol, maxRounds int, rng *xrand.Rand) radio.Result {
+	e.RunProtocol(context.Background(), p, maxRounds, rng)
+	return e.Result()
+}
+
+// replay replays s from src on a fresh engine under policy.
+func replay(g *graph.Graph, src int32, s *radio.Schedule, policy radio.TransmitterPolicy) (radio.Result, error) {
+	e := radio.NewEngine(g, src, policy)
+	if err := e.ExecuteSchedule(context.Background(), s); err != nil {
+		return radio.Result{}, err
+	}
+	return e.Result(), nil
 }

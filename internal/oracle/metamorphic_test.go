@@ -59,7 +59,7 @@ func TestMetamorphicRelabeling(t *testing.T) {
 		}
 		// MagicTransmitters: every set is valid, so the runs never abort
 		// and the full schedule's outcome is compared.
-		res, err := radio.ExecuteSchedule(g, src, s, radio.MagicTransmitters)
+		res, err := replay(g, src, s, radio.MagicTransmitters)
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
@@ -69,7 +69,7 @@ func TestMetamorphicRelabeling(t *testing.T) {
 		for _, set := range s.Sets {
 			s2.Sets = append(s2.Sets, applyPerm(perm, set))
 		}
-		res2, err := radio.ExecuteSchedule(g2, perm[src], s2, radio.MagicTransmitters)
+		res2, err := replay(g2, perm[src], s2, radio.MagicTransmitters)
 		if err != nil {
 			t.Fatalf("case %d: relabeled run: %v", i, err)
 		}
@@ -107,7 +107,7 @@ func TestMetamorphicMonotonicity(t *testing.T) {
 		}
 		rec := &trace.Recorder{}
 		e.Attach(rec)
-		res := e.RunProtocol(p, maxRoundsFor(n), xrand.New(seed))
+		res := drive(e, p, maxRoundsFor(n), xrand.New(seed))
 
 		prev := 1 // the single source
 		for ri, r := range rec.Records {
@@ -166,13 +166,13 @@ func TestMetamorphicEngineReuse(t *testing.T) {
 		perNode := crng.Bool()
 		reused.SetPerNodeSampling(perNode)
 		// Dirty the engine with a throwaway run, then Reset and rerun.
-		reused.RunProtocol(p, mr, xrand.New(seed^0xABCD))
+		drive(reused, p, mr, xrand.New(seed^0xABCD))
 		reused.Reset()
-		got := reused.RunProtocol(p, mr, xrand.New(seed))
+		got := drive(reused, p, mr, xrand.New(seed))
 
 		fresh := radio.NewEngineMulti(g, sources, radio.StrictInformed)
 		fresh.SetPerNodeSampling(perNode)
-		want := fresh.RunProtocol(p, mr, xrand.New(seed))
+		want := drive(fresh, p, mr, xrand.New(seed))
 
 		if d := Compare(got, want); d != "" {
 			t.Fatalf("case %d (%v sources=%v proto=%s perNode=%v seed=%#x): reused engine diverges from fresh:\n%s",

@@ -14,8 +14,7 @@ func TestBackoffCompletesKnowledgeFree(t *testing.T) {
 	const n = 2000
 	d := 2 * math.Log(n)
 	g := connected(t, n, d, 1)
-	e := radio.NewEngine(g, 0, radio.StrictInformed)
-	res := radio.RunCDProtocol(e, NewBackoff(n), 20*core.MaxRoundsFor(n), xrand.New(2))
+	res := radio.RunCDProtocol(g, 0, NewBackoff(n), 20*core.MaxRoundsFor(n), xrand.New(2))
 	if !res.Completed {
 		t.Fatalf("backoff incomplete: %d/%d after %d rounds", res.Informed, n, res.Rounds)
 	}
@@ -41,15 +40,14 @@ func TestBackoffCompetitiveWithPaperProtocol(t *testing.T) {
 	}
 	budget := 20 * core.MaxRoundsFor(n)
 	backoff := med(func(seed uint64) int {
-		e := radio.NewEngine(g, 0, radio.StrictInformed)
-		res := radio.RunCDProtocol(e, NewBackoff(n), budget, xrand.New(100+seed))
+		res := radio.RunCDProtocol(g, 0, NewBackoff(n), budget, xrand.New(100+seed))
 		if !res.Completed {
 			return budget + 1
 		}
 		return res.Rounds
 	})
 	paper := med(func(seed uint64) int {
-		return radio.BroadcastTime(g, 0, core.NewDistributedProtocol(n, d), budget, xrand.New(100+seed))
+		return broadcastTime(g, 0, core.NewDistributedProtocol(n, d), budget, xrand.New(100+seed))
 	})
 	if backoff > 20*paper {
 		t.Fatalf("backoff (%d) more than 20x the paper protocol (%d)", backoff, paper)

@@ -1,10 +1,12 @@
 package protocols
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/radio"
@@ -25,7 +27,7 @@ func TestDecayCompletesOnGnp(t *testing.T) {
 	d := 2 * math.Log(n)
 	g := connected(t, n, d, 1)
 	rng := xrand.New(2)
-	res := radio.RunProtocol(g, 0, NewDecay(n), 4000, rng)
+	res := runProtocol(g, 0, NewDecay(n), 4000, rng)
 	if !res.Completed {
 		t.Fatalf("decay incomplete: %d/%d", res.Informed, n)
 	}
@@ -68,7 +70,7 @@ func TestAlohaCompletesOnGnp(t *testing.T) {
 	d := 2 * math.Log(n)
 	g := connected(t, n, d, 4)
 	rng := xrand.New(5)
-	res := radio.RunProtocol(g, 0, NewAloha(d), 5000, rng)
+	res := runProtocol(g, 0, NewAloha(d), 5000, rng)
 	if !res.Completed {
 		t.Fatalf("aloha incomplete: %d/%d", res.Informed, n)
 	}
@@ -90,7 +92,7 @@ func TestFloodDeadlocksOnGnp(t *testing.T) {
 	const n = 500
 	g := connected(t, n, 20, 6)
 	rng := xrand.New(7)
-	res := radio.RunProtocol(g, 0, Flood{}, 300, rng)
+	res := runProtocol(g, 0, Flood{}, 300, rng)
 	if res.Completed {
 		t.Fatal("deterministic flooding should not complete on G(n,p)")
 	}
@@ -102,7 +104,7 @@ func TestRoundRobinAlwaysCompletes(t *testing.T) {
 	rng := xrand.New(9)
 	rr := &RoundRobin{N: n}
 	diam := graph.Diameter(g)
-	res := radio.RunProtocol(g, 0, rr, n*(diam+2), rng)
+	res := runProtocol(g, 0, rr, n*(diam+2), rng)
 	if !res.Completed {
 		t.Fatalf("round robin incomplete: %d/%d", res.Informed, n)
 	}
@@ -148,7 +150,7 @@ func TestPaperProtocolBeatsDecay(t *testing.T) {
 		var times []int
 		for trial := 0; trial < 5; trial++ {
 			rng := xrand.New(100 + uint64(trial))
-			times = append(times, radio.BroadcastTime(g, 0, p, 5000, rng))
+			times = append(times, broadcastTime(g, 0, p, 5000, rng))
 		}
 		for i := 1; i < len(times); i++ {
 			for j := i; j > 0 && times[j] < times[j-1]; j-- {
@@ -171,9 +173,28 @@ func BenchmarkDecay(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rng := xrand.New(uint64(i))
-		res := radio.RunProtocol(g, 0, NewDecay(n), 5000, rng)
+		res := runProtocol(g, 0, NewDecay(n), 5000, rng)
 		if !res.Completed {
 			b.Fatal("incomplete")
 		}
 	}
+}
+
+// runProtocol runs one trial of p from src on g through exec.
+func runProtocol(g *graph.Graph, src int32, p radio.Protocol, maxRounds int, rng *xrand.Rand) radio.Result {
+	res, err := exec.Run(context.Background(), &exec.Request{Graph: g, Sources: []int32{src}, Protocol: p, MaxRounds: maxRounds}, rng)
+	if err != nil {
+		panic(err)
+	}
+	return res
+}
+
+// broadcastTime runs one trial of p from src on g through exec and
+// returns its completion round, maxRounds+1 if it did not finish.
+func broadcastTime(g *graph.Graph, src int32, p radio.Protocol, maxRounds int, rng *xrand.Rand) int {
+	r, err := exec.Time(context.Background(), &exec.Request{Graph: g, Sources: []int32{src}, Protocol: p, MaxRounds: maxRounds}, rng)
+	if err != nil {
+		panic(err)
+	}
+	return r
 }

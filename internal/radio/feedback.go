@@ -10,6 +10,7 @@ package radio
 // experiment E19 for the comparison).
 
 import (
+	"repro/internal/graph"
 	"repro/internal/xrand"
 )
 
@@ -119,10 +120,13 @@ func (e *Engine) RoundWithFeedback(transmitters []int32, fb []Feedback) ([]int32
 	return newly, err
 }
 
-// RunCDProtocol simulates a CD-model protocol on the engine for at most
-// maxRounds rounds, stopping early on completion.
-func RunCDProtocol(e *Engine, p FeedbackProtocol, maxRounds int, rng *xrand.Rand) Result {
-	n := e.g.N()
+// RunCDProtocol simulates a CD-model protocol from src on a fresh engine
+// over g for at most maxRounds rounds, stopping early on completion. The
+// CD model is not an internal/exec backend yet, so it keeps this one
+// self-contained runner.
+func RunCDProtocol(g *graph.Graph, src int32, p FeedbackProtocol, maxRounds int, rng *xrand.Rand) Result {
+	e := NewEngine(g, src, StrictInformed)
+	n := g.N()
 	fb := make([]Feedback, n)
 	for i := range fb {
 		fb[i] = FeedbackSilence
@@ -145,5 +149,5 @@ func RunCDProtocol(e *Engine, p FeedbackProtocol, maxRounds int, rng *xrand.Rand
 		}
 		fb, next = next, fb
 	}
-	return resultOf(e)
+	return e.Result()
 }

@@ -94,8 +94,7 @@ func (p *echoProtocol) TransmitCD(v int32, round int, informedAt int32, prev Fee
 func TestRunCDProtocolDeliversFeedback(t *testing.T) {
 	// Path 0-1-2-3: echo forwarding moves the message one hop per round.
 	g := gen.Path(4)
-	e := NewEngine(g, 0, StrictInformed)
-	res := RunCDProtocol(e, &echoProtocol{fired: map[int32]bool{}}, 20, xrand.New(1))
+	res := RunCDProtocol(g, 0, &echoProtocol{fired: map[int32]bool{}}, 20, xrand.New(1))
 	if !res.Completed {
 		t.Fatalf("echo relay incomplete: %d/4", res.Informed)
 	}
@@ -106,11 +105,10 @@ func TestRunCDProtocolDeliversFeedback(t *testing.T) {
 
 func TestRunCDProtocolRespectsBudget(t *testing.T) {
 	g := gen.Path(5)
-	e := NewEngine(g, 0, StrictInformed)
 	silent := cdFunc(func(v int32, round int, at int32, prev Feedback, rng *xrand.Rand) bool {
 		return false
 	})
-	res := RunCDProtocol(e, silent, 7, xrand.New(2))
+	res := RunCDProtocol(g, 0, silent, 7, xrand.New(2))
 	if res.Completed || res.Rounds != 7 {
 		t.Fatalf("budget not respected: %+v", res.Rounds)
 	}

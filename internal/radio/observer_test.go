@@ -1,6 +1,7 @@
 package radio
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/gen"
@@ -39,7 +40,7 @@ func TestCountersMatchStats(t *testing.T) {
 	for trial := 0; trial < 1000; trial++ {
 		c.Reset()
 		e.ResetFor(int32(trial % n))
-		res := RunProtocolOn(e, p, 300, rng.Derive(uint64(trial)+1))
+		res := runOn(e, p, 300, rng.Derive(uint64(trial)+1))
 		st := e.Stats()
 		if c.Rounds != st.Rounds || c.Transmissions != st.Transmissions ||
 			c.Successes != st.Deliveries || c.Collisions != st.Collisions ||
@@ -71,10 +72,10 @@ func TestCountersMatchStatsSchedule(t *testing.T) {
 	var c trace.Counters
 	e.Attach(&c)
 	s := &Schedule{Sets: [][]int32{{0}, {1, 2}, {3}}}
-	res, err := ExecuteScheduleOn(e, s)
-	if err != nil {
+	if err := e.ExecuteSchedule(context.Background(), s); err != nil {
 		t.Fatal(err)
 	}
+	res := e.Result()
 	st := e.Stats()
 	if c.Rounds != st.Rounds || c.Transmissions != st.Transmissions ||
 		c.Successes != st.Deliveries || c.Collisions != st.Collisions {
@@ -96,7 +97,8 @@ func TestObserverSurvivesReset(t *testing.T) {
 	var c trace.Counters
 	e.Attach(&c)
 	for i := 0; i < 3; i++ {
-		if _, err := ExecuteScheduleOn(e, &Schedule{Sets: [][]int32{{0}, {1}, {2}, {3}}}); err != nil {
+		e.Reset()
+		if err := e.ExecuteSchedule(context.Background(), &Schedule{Sets: [][]int32{{0}, {1}, {2}, {3}}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -124,11 +126,10 @@ func TestRecorderRoundRecords(t *testing.T) {
 	e := NewEngine(g, 0, StrictInformed)
 	var rec trace.Recorder
 	e.Attach(&rec)
-	res, err := ExecuteScheduleOn(e, &Schedule{Sets: [][]int32{{0}, {1, 2}}})
-	if err != nil {
+	if err := e.ExecuteSchedule(context.Background(), &Schedule{Sets: [][]int32{{0}, {1, 2}}}); err != nil {
 		t.Fatal(err)
 	}
-	if res.Completed {
+	if e.Done() {
 		t.Fatal("node 4 is isolated; broadcast cannot complete")
 	}
 	if !rec.Began || !rec.Ended {
@@ -157,9 +158,9 @@ func TestRecorderRoundRecords(t *testing.T) {
 }
 
 // TestNilObserverAllocs is the benchmark guard in test form: the reuse
-// fast path must stay allocation-free with no observer attached, and
-// RunProtocolOn must not gain allocations from the observer layer (its
-// only allocation is the Result's InformedAt copy).
+// fast path (Reset + RunProtocol) must stay allocation-free with no
+// observer attached, and building a Result must not gain allocations from
+// the observer layer (its only allocation is the InformedAt copy).
 func TestNilObserverAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc measurement")
@@ -176,14 +177,15 @@ func TestNilObserverAllocs(t *testing.T) {
 	})
 	rng := xrand.New(5)
 	if avg := testing.AllocsPerRun(20, func() {
-		BroadcastTimeOn(e, p, 400, rng)
+		e.Reset()
+		e.RunProtocol(context.Background(), p, 400, rng)
 	}); avg != 0 {
-		t.Fatalf("BroadcastTimeOn with nil observer: %.1f allocs/op, want 0", avg)
+		t.Fatalf("Reset+RunProtocol with nil observer: %.1f allocs/op, want 0", avg)
 	}
 	if avg := testing.AllocsPerRun(20, func() {
-		RunProtocolOn(e, p, 400, rng)
+		runOn(e, p, 400, rng)
 	}); avg > 1 {
-		t.Fatalf("RunProtocolOn with nil observer: %.1f allocs/op, want <=1 (InformedAt copy)", avg)
+		t.Fatalf("Reset+RunProtocol+Result with nil observer: %.1f allocs/op, want <=1 (InformedAt copy)", avg)
 	}
 }
 
@@ -199,10 +201,10 @@ func TestObservedRunBitIdentical(t *testing.T) {
 		}
 		return r.Bernoulli(1 / d)
 	})
-	plain := RunProtocol(g, 0, p, 500, xrand.New(42))
+	plain := runFresh(g, 0, p, 500, xrand.New(42))
 	e := NewEngine(g, 0, StrictInformed)
 	e.Attach(&trace.Recorder{})
-	observed := RunProtocolOn(e, p, 500, xrand.New(42))
+	observed := runOn(e, p, 500, xrand.New(42))
 	if plain.Rounds != observed.Rounds || plain.Informed != observed.Informed || plain.Stats != observed.Stats {
 		t.Fatalf("observed run diverged: %+v vs %+v", observed, plain)
 	}
@@ -213,7 +215,7 @@ func TestObservedRunBitIdentical(t *testing.T) {
 	}
 }
 
-// TestMultiSourceObserved covers the multi-source observed runner.
+// TestMultiSourceObserved covers an observed run on a multi-source engine.
 func TestMultiSourceObserved(t *testing.T) {
 	const n = 300
 	const d = 8.0
@@ -222,18 +224,21 @@ func TestMultiSourceObserved(t *testing.T) {
 		return r.Bernoulli(1 / d)
 	})
 	var c trace.Counters
-	res := RunProtocolMultiObserved(g, []int32{0, 5, 9}, p, 400, xrand.New(3), &c)
+	e := NewEngineMulti(g, []int32{0, 5, 9}, StrictInformed)
+	e.Attach(&c)
+	res := runOn(e, p, 400, xrand.New(3))
 	if c.Rounds != res.Rounds || c.Informed != res.Informed {
 		t.Fatalf("counters (rounds=%d informed=%d) != result (%d, %d)", c.Rounds, c.Informed, res.Rounds, res.Informed)
 	}
-	plain := RunProtocolMulti(g, []int32{0, 5, 9}, p, 400, xrand.New(3))
+	plain := runOn(NewEngineMulti(g, []int32{0, 5, 9}, StrictInformed), p, 400, xrand.New(3))
 	if plain.Rounds != res.Rounds || plain.Informed != res.Informed {
 		t.Fatalf("observed multi run diverged from plain run")
 	}
 }
 
-// TestSourceSweepObserved: the shared-engine sweep delivers one run cycle
-// per source to the observer.
+// TestSourceSweepObserved: a shared-engine source sweep (ResetFor per
+// source, as exec.SourceSweep runs it) delivers one run cycle per source
+// to the observer and matches fresh engines source for source.
 func TestSourceSweepObserved(t *testing.T) {
 	const n = 200
 	const d = 8.0
@@ -245,14 +250,18 @@ func TestSourceSweepObserved(t *testing.T) {
 		return r.Bernoulli(1 / d)
 	})
 	var c trace.Counters
-	times := SourceSweepObserved(g, 5, p, 300, xrand.New(21), &c)
-	if c.Runs != len(times) {
-		t.Fatalf("observer saw %d runs, sweep ran %d", c.Runs, len(times))
-	}
-	plain := SourceSweep(g, 5, p, 300, xrand.New(21))
-	for i := range plain {
-		if plain[i] != times[i] {
-			t.Fatalf("observed sweep diverged at source %d: %d vs %d", i, times[i], plain[i])
+	e := NewEngine(g, 0, StrictInformed)
+	e.Attach(&c)
+	rng := xrand.New(21)
+	sources := rng.Sample(n, 5)
+	for i, s := range sources {
+		e.ResetFor(s)
+		got := timeOn(e, p, 300, rng.Derive(uint64(i)+1))
+		if want := timeOn(NewEngine(g, s, StrictInformed), p, 300, rng.Derive(uint64(i)+1)); got != want {
+			t.Fatalf("observed sweep diverged at source %d: %d vs %d", s, got, want)
 		}
+	}
+	if c.Runs != len(sources) {
+		t.Fatalf("observer saw %d runs, sweep ran %d", c.Runs, len(sources))
 	}
 }

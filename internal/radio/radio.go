@@ -13,9 +13,13 @@
 //
 // The package provides a low-level Engine that advances one round at a
 // time given an explicit transmitter set (used by centralized schedules and
-// by the lower-bound harnesses) and a higher-level protocol runner for
-// fully distributed randomized protocols in which every informed node
-// locally decides each round whether to transmit.
+// by the lower-bound harnesses), plus two drivers on it: schedule replay
+// (Engine.ExecuteSchedule) and a protocol runner for fully distributed
+// randomized protocols in which every informed node locally decides each
+// round whether to transmit (Engine.RunProtocol). Both drive the engine
+// from its current state; internal/exec owns engine lifecycle (reset,
+// reuse, pooling) and turns a driven engine into a Result or a completion
+// round, so trials run through exec rather than through this package.
 package radio
 
 import (
@@ -67,8 +71,10 @@ type Stats struct {
 // Engine simulates the radio model on a fixed graph from a single source.
 // It is not safe for concurrent use; run one Engine per goroutine.
 type Engine struct {
-	g        *graph.Graph
-	src      int32
+	g *graph.Graph
+	// sources is the initial informed set, primary source first; Reset
+	// restores it.
+	sources  []int32
 	policy   TransmitterPolicy
 	informed []bool
 	// informedAt[v] is the round in which v was informed (0 for the
@@ -93,12 +99,9 @@ type Engine struct {
 	obs trace.Observer
 	// txObs is obs's trace.TransmitterObserver extension when it declares
 	// one, cached at Attach time so Round pays no per-round assertion.
-	txObs trace.TransmitterObserver
-	// extraSources holds the initial informed set beyond src for engines
-	// built by NewEngineMulti, so Reset restores the full set.
-	extraSources []int32
-	newly        []int32 // scratch reused across rounds
-	txScratch    []int32 // scratch transmit set for the protocol runners
+	txObs     trace.TransmitterObserver
+	newly     []int32 // scratch reused across rounds
+	txScratch []int32 // scratch transmit set for the protocol runners
 	// Sampled-transmitter fast path (see UniformProtocol). The protocol
 	// runner keeps incremental per-cohort eligible lists so a uniform round
 	// draws k ~ Binomial(|eligible|, q) transmitters in O(k) instead of
@@ -117,7 +120,7 @@ type Engine struct {
 	cdMark    []bool
 	cdTx      []int32
 	cdTouched []int32
-	// Result-buffer reuse (see SetResultReuse): when on, resultOf fills
+	// Result-buffer reuse (see SetResultReuse): when on, Result fills
 	// Result.InformedAt from resultBuf instead of a fresh per-run copy.
 	reuseResult bool
 	resultBuf   []int32
@@ -132,7 +135,7 @@ func NewEngine(g *graph.Graph, src int32, policy TransmitterPolicy) *Engine {
 	}
 	e := &Engine{
 		g:            g,
-		src:          src,
+		sources:      []int32{src},
 		policy:       policy,
 		informed:     make([]bool, n),
 		informedAt:   make([]int32, n),
@@ -151,16 +154,14 @@ func NewEngine(g *graph.Graph, src int32, policy TransmitterPolicy) *Engine {
 // Reset returns the engine to its initial state — the full initial
 // informed set: the source, plus every extra source for engines built by
 // NewEngineMulti — without reallocating, making one engine reusable
-// across many trials on the same graph (see RunProtocolOn).
+// across many trials on the same graph.
 func (e *Engine) Reset() {
 	for i := range e.informed {
 		e.informed[i] = false
 		e.informedAt[i] = NotInformed
 	}
-	e.informed[e.src] = true
-	e.informedAt[e.src] = 0
-	e.numInformed = 1
-	for _, s := range e.extraSources {
+	e.numInformed = 0
+	for _, s := range e.sources {
 		if !e.informed[s] {
 			e.informed[s] = true
 			e.informedAt[s] = 0
@@ -189,8 +190,7 @@ func (e *Engine) ResetFor(src int32) {
 	if src < 0 || int(src) >= e.g.N() {
 		panic(fmt.Sprintf("radio: source %d out of range [0,%d)", src, e.g.N()))
 	}
-	e.src = src
-	e.extraSources = nil
+	e.sources = append(e.sources[:0], src)
 	e.Reset()
 }
 
@@ -209,8 +209,7 @@ func (e *Engine) SetSources(sources []int32) {
 			panic(fmt.Sprintf("radio: source %d out of range [0,%d)", s, e.g.N()))
 		}
 	}
-	e.src = sources[0]
-	e.extraSources = append(e.extraSources[:0], sources[1:]...)
+	e.sources = append(e.sources[:0], sources...)
 	e.Reset()
 }
 
@@ -218,7 +217,13 @@ func (e *Engine) SetSources(sources []int32) {
 func (e *Engine) Graph() *graph.Graph { return e.g }
 
 // Source returns the broadcast source.
-func (e *Engine) Source() int32 { return e.src }
+func (e *Engine) Source() int32 { return e.sources[0] }
+
+// Sources returns the engine's initial informed set — the source, then
+// the extra sources of NewEngineMulti or SetSources — in the form
+// SetSources takes. The slice is the engine's own: it must not be
+// modified and is valid until the next ResetFor or SetSources.
+func (e *Engine) Sources() []int32 { return e.sources }
 
 // RoundCount returns the number of rounds executed so far.
 func (e *Engine) RoundCount() int { return e.round }
@@ -240,11 +245,10 @@ func (e *Engine) Stats() Stats {
 func (e *Engine) Counters() trace.Counters { return e.counters }
 
 // Attach sets the engine's observer: after every executed round the
-// engine sends it a trace.RoundRecord, and the run helpers
-// (RunProtocol*/ExecuteSchedule*/BroadcastTime*) bracket each run with
-// BeginRun/EndRun notifications. Attach(nil) detaches. The attached
-// observer survives Reset/ResetFor, so one observer can aggregate across
-// many trials on a reused engine.
+// engine sends it a trace.RoundRecord, and the drivers (RunProtocol,
+// ExecuteSchedule) bracket each run with BeginRun/EndRun notifications.
+// Attach(nil) detaches. The attached observer survives Reset/ResetFor, so
+// one observer can aggregate across many trials on a reused engine.
 //
 // With no observer attached the per-round overhead is a single nil check;
 // the allocation-free fast path is unchanged. An observer that also
@@ -460,8 +464,8 @@ func (e *Engine) Round(transmitters []int32) ([]int32, error) {
 }
 
 // observeBegin notifies an attached observer that a run is starting; the
-// run helpers call it after any Reset, so Sources reflects the initially
-// informed set.
+// drivers call it on the engine's starting state, so after a Reset Sources
+// reflects the initially informed set.
 func (e *Engine) observeBegin(maxRounds int) {
 	if e.obs == nil {
 		return
@@ -515,80 +519,44 @@ type Result struct {
 	Stats      Stats
 }
 
-// ExecuteSchedule runs the schedule on a fresh engine over g from src and
-// returns the result. Execution stops early once all nodes are informed;
-// Rounds then reports the first round after which the broadcast was
-// complete.
-func ExecuteSchedule(g *graph.Graph, src int32, s *Schedule, policy TransmitterPolicy) (Result, error) {
-	e := NewEngine(g, src, policy)
-	return executeScheduleOn(e, s)
-}
-
-// ExecuteScheduleOn resets the caller-owned engine and replays the
-// schedule on it, avoiding the per-run engine allocation of
-// ExecuteSchedule. The engine's existing source and policy apply.
-func ExecuteScheduleOn(e *Engine, s *Schedule) (Result, error) {
-	e.Reset()
-	return executeScheduleOn(e, s)
-}
-
-// ExecuteScheduleObserved replays the schedule on a fresh engine with the
-// given initially informed sources and a trace observer attached (nil obs
-// adds no overhead). It is the observed, multi-source-capable form of
-// ExecuteSchedule.
-func ExecuteScheduleObserved(g *graph.Graph, sources []int32, s *Schedule, policy TransmitterPolicy, obs trace.Observer) (Result, error) {
-	return ExecuteScheduleObservedContext(context.Background(), g, sources, s, policy, obs)
-}
-
-// ExecuteScheduleObservedContext is ExecuteScheduleObserved with
-// cooperative cancellation: replay stops between rounds once ctx is
-// canceled, returning the partial Result and an error wrapping
-// ErrCanceled. An uncanceled context is bit-identical to the context-free
-// form.
-func ExecuteScheduleObservedContext(ctx context.Context, g *graph.Graph, sources []int32, s *Schedule, policy TransmitterPolicy, obs trace.Observer) (Result, error) {
-	e := NewEngineMulti(g, sources, policy)
-	e.Attach(obs)
-	return executeScheduleOnCtx(ctx, e, s)
-}
-
-func executeScheduleOn(e *Engine, s *Schedule) (Result, error) {
-	return executeScheduleOnCtx(context.Background(), e, s)
-}
-
-// executeScheduleOnCtx replays the schedule with a cancellation check
-// between rounds. Replay consumes no randomness, so the check cannot
-// perturb results: an uncanceled context yields output bit-identical to
-// the context-free path. On cancellation the partial Result is returned
-// alongside an error wrapping ErrCanceled and the context's cause.
-func executeScheduleOnCtx(ctx context.Context, e *Engine, s *Schedule) (Result, error) {
+// ExecuteSchedule replays s on the engine's CURRENT state — it does not
+// reset — under the engine's TransmitterPolicy, one set per round, and
+// stops early once every node is informed (Result().Rounds is then the
+// first round after which the broadcast was complete). Replay consumes no
+// randomness. A set that violates the policy stops the replay with
+// Engine.Round's error, leaving the engine as it was before that set.
+// Cancellation is checked between rounds: once ctx is canceled the replay
+// stops with an error wrapping ErrCanceled and the context's cause, and
+// the engine keeps its partial state.
+func (e *Engine) ExecuteSchedule(ctx context.Context, s *Schedule) error {
 	e.observeBegin(s.Len())
+	defer e.observeEnd()
 	for _, set := range s.Sets {
 		if e.Done() {
 			break
 		}
 		if ctx.Err() != nil {
-			e.observeEnd()
-			return resultOf(e), Canceled(ctx)
+			return Canceled(ctx)
 		}
 		if _, err := e.Round(set); err != nil {
-			e.observeEnd()
-			return Result{}, err
+			return err
 		}
 	}
-	e.observeEnd()
-	return resultOf(e), nil
+	return nil
 }
 
-// SetResultReuse toggles result-buffer reuse: when on, Results built by
-// the RunProtocol*/ExecuteSchedule* methods fill InformedAt from an
-// engine-owned buffer that the engine's NEXT run overwrites, instead of
-// a fresh O(n) copy per run. Engine-pooling callers (repro.WithEngine,
-// the serving layer) turn this on so steady-state requests allocate
-// nothing proportional to n; leave it off when a Result must outlive the
-// engine's next run.
+// SetResultReuse toggles result-buffer reuse: when on, Result fills
+// InformedAt from an engine-owned buffer that the engine's NEXT run
+// overwrites, instead of a fresh O(n) copy per call. Engine-pooling
+// callers (repro.WithEngine, the serving layer) turn this on so
+// steady-state requests allocate nothing proportional to n; leave it off
+// when a Result must outlive the engine's next run.
 func (e *Engine) SetResultReuse(on bool) { e.reuseResult = on }
 
-func resultOf(e *Engine) Result {
+// Result summarises the engine's current state: completion, rounds
+// executed, informed count, the per-node informed rounds and the
+// accumulated Stats.
+func (e *Engine) Result() Result {
 	var at []int32
 	if e.reuseResult {
 		e.resultBuf = e.AppendInformedTimes(e.resultBuf[:0])
@@ -694,22 +662,20 @@ func (e *Engine) SetPerNodeSampling(on bool) { e.perNode = on }
 // PerNodeSampling reports whether the sampled fast path is disabled.
 func (e *Engine) PerNodeSampling() bool { return e.perNode }
 
-// runProtocol drives the engine under the protocol until completion or the
-// round budget, reusing the engine's scratch transmit set so steady-state
-// rounds allocate nothing. When p implements UniformProtocol (and per-node
-// sampling is not forced), uniform rounds draw their transmitter set by
-// binomial cohort sampling in O(k) instead of O(n).
-func (e *Engine) runProtocol(p Protocol, maxRounds int, rng *xrand.Rand) {
-	e.runProtocolCtx(context.Background(), p, maxRounds, rng)
-}
-
-// runProtocolCtx is runProtocol with a cancellation check between rounds.
-// The check consumes no randomness (and context.Background's Err is a
-// constant nil), so an uncanceled run is bit-for-bit identical to the
-// context-free path. On cancellation the engine keeps its partial state —
-// callers build the partial Result from it — and the returned error wraps
-// ErrCanceled together with the context's cause.
-func (e *Engine) runProtocolCtx(ctx context.Context, p Protocol, maxRounds int, rng *xrand.Rand) error {
+// RunProtocol drives p on the engine's CURRENT state — it does not
+// reset — until every node is informed or the engine's round count
+// reaches maxRounds, reusing the engine's scratch transmit set so
+// steady-state rounds allocate nothing. When p implements UniformProtocol
+// (and per-node sampling is not forced), uniform rounds draw their
+// transmitter set by binomial cohort sampling in O(k) instead of O(n).
+//
+// Cancellation is checked between rounds. The check consumes no
+// randomness (and context.Background's Err is a constant nil), so an
+// uncanceled run is bit-for-bit identical to one without a deadline. On
+// cancellation the engine keeps its partial state and the returned error
+// wraps ErrCanceled together with the context's cause; otherwise the
+// error is nil.
+func (e *Engine) RunProtocol(ctx context.Context, p Protocol, maxRounds int, rng *xrand.Rand) error {
 	e.observeBegin(maxRounds)
 	defer e.observeEnd()
 	up, _ := p.(UniformProtocol)
@@ -817,89 +783,4 @@ func (e *Engine) appendEligible(newly []int32) {
 	if e.eligCohortOK && int32(e.round) <= e.eligCutoff {
 		e.eligCohort = append(e.eligCohort, newly...)
 	}
-}
-
-// RunProtocol drives p on the engine's CURRENT state — no reset — until
-// completion or maxRounds rounds, and returns the result. Most callers
-// want the package-level RunProtocol or RunProtocolOn (which reset
-// first); the method exists for callers that prepared the engine
-// themselves (multi-source initial sets, per-node sampling opt-out).
-func (e *Engine) RunProtocol(p Protocol, maxRounds int, rng *xrand.Rand) Result {
-	e.runProtocol(p, maxRounds, rng)
-	return resultOf(e)
-}
-
-// RunProtocol simulates the distributed protocol for at most maxRounds
-// rounds, stopping early when every node is informed.
-func RunProtocol(g *graph.Graph, src int32, p Protocol, maxRounds int, rng *xrand.Rand) Result {
-	e := NewEngine(g, src, StrictInformed)
-	e.runProtocol(p, maxRounds, rng)
-	return resultOf(e)
-}
-
-// RunProtocolOn resets the caller-owned engine and simulates the protocol
-// on it. It is RunProtocol without the per-trial graph walk and engine
-// allocation: a sweep that runs many trials on one graph builds the engine
-// once (per worker) and calls RunProtocolOn per trial. Combine with
-// ResetFor via the engine's own methods to also vary the source. The
-// engine's policy applies (RunProtocol itself always uses StrictInformed).
-func RunProtocolOn(e *Engine, p Protocol, maxRounds int, rng *xrand.Rand) Result {
-	e.Reset()
-	e.runProtocol(p, maxRounds, rng)
-	return resultOf(e)
-}
-
-// BroadcastTime runs the protocol and returns the completion round, or
-// maxRounds+1 if the broadcast did not finish within the budget. The
-// sentinel keeps incomplete runs visibly worse than any complete run when
-// aggregating.
-func BroadcastTime(g *graph.Graph, src int32, p Protocol, maxRounds int, rng *xrand.Rand) int {
-	res := RunProtocol(g, src, p, maxRounds, rng)
-	if !res.Completed {
-		return maxRounds + 1
-	}
-	return res.Rounds
-}
-
-// BroadcastTimeOn is BroadcastTime on a caller-owned engine (reset first).
-// Unlike RunProtocolOn it builds no Result, so a trial allocates nothing.
-func BroadcastTimeOn(e *Engine, p Protocol, maxRounds int, rng *xrand.Rand) int {
-	e.Reset()
-	e.runProtocol(p, maxRounds, rng)
-	if !e.Done() {
-		return maxRounds + 1
-	}
-	return e.round
-}
-
-// RunProtocolContext drives p on the engine's CURRENT state — no reset —
-// with cooperative cancellation: the round loop checks ctx between rounds
-// and stops as soon as it is canceled, returning the partial Result
-// together with an error wrapping ErrCanceled and the context's cause.
-// The check consumes no randomness, so an uncanceled context yields output
-// bit-for-bit identical to RunProtocol's.
-func (e *Engine) RunProtocolContext(ctx context.Context, p Protocol, maxRounds int, rng *xrand.Rand) (Result, error) {
-	err := e.runProtocolCtx(ctx, p, maxRounds, rng)
-	return resultOf(e), err
-}
-
-// RunProtocolOnContext is RunProtocolOn with cooperative cancellation
-// (reset first; see RunProtocolContext for the cancellation contract).
-func RunProtocolOnContext(ctx context.Context, e *Engine, p Protocol, maxRounds int, rng *xrand.Rand) (Result, error) {
-	e.Reset()
-	err := e.runProtocolCtx(ctx, p, maxRounds, rng)
-	return resultOf(e), err
-}
-
-// BroadcastTimeOnContext is BroadcastTimeOn with cooperative cancellation.
-// A canceled run reports the sentinel maxRounds+1 (it did not complete)
-// alongside the wrapping error, so aggregators that ignore the error still
-// see a sane value.
-func BroadcastTimeOnContext(ctx context.Context, e *Engine, p Protocol, maxRounds int, rng *xrand.Rand) (int, error) {
-	e.Reset()
-	err := e.runProtocolCtx(ctx, p, maxRounds, rng)
-	if !e.Done() {
-		return maxRounds + 1, err
-	}
-	return e.round, err
 }

@@ -1,6 +1,7 @@
 package radio
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -11,6 +12,39 @@ import (
 
 // star builds a star with centre 0 and n-1 leaves.
 func star(n int) *graph.Graph { return gen.Star(n) }
+
+// runOn resets e, drives p on it and returns the Result — one trial of
+// what exec.Run does with a caller-owned engine.
+func runOn(e *Engine, p Protocol, maxRounds int, rng *xrand.Rand) Result {
+	e.Reset()
+	if err := e.RunProtocol(context.Background(), p, maxRounds, rng); err != nil {
+		panic(err)
+	}
+	return e.Result()
+}
+
+// runFresh runs p from src on a fresh StrictInformed engine.
+func runFresh(g *graph.Graph, src int32, p Protocol, maxRounds int, rng *xrand.Rand) Result {
+	return runOn(NewEngine(g, src, StrictInformed), p, maxRounds, rng)
+}
+
+// timeOn is runOn's completion round, maxRounds+1 if the broadcast did
+// not finish (exec.Time's convention).
+func timeOn(e *Engine, p Protocol, maxRounds int, rng *xrand.Rand) int {
+	if res := runOn(e, p, maxRounds, rng); res.Completed {
+		return res.Rounds
+	}
+	return maxRounds + 1
+}
+
+// replay replays s from src on a fresh engine under policy.
+func replay(g *graph.Graph, src int32, s *Schedule, policy TransmitterPolicy) (Result, error) {
+	e := NewEngine(g, src, policy)
+	if err := e.ExecuteSchedule(context.Background(), s); err != nil {
+		return Result{}, err
+	}
+	return e.Result(), nil
+}
 
 func TestSingleTransmitterInformsAllNeighbors(t *testing.T) {
 	g := star(6)
@@ -188,7 +222,7 @@ func TestReset(t *testing.T) {
 func TestExecuteSchedule(t *testing.T) {
 	g := gen.Path(4)
 	s := &Schedule{Sets: [][]int32{{0}, {1}, {2}}}
-	res, err := ExecuteSchedule(g, 0, s, StrictInformed)
+	res, err := replay(g, 0, s, StrictInformed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +239,7 @@ func TestExecuteSchedule(t *testing.T) {
 func TestExecuteScheduleStopsEarly(t *testing.T) {
 	g := star(4)
 	s := &Schedule{Sets: [][]int32{{0}, {1}, {2}, {3}}}
-	res, err := ExecuteSchedule(g, 0, s, StrictInformed)
+	res, err := replay(g, 0, s, StrictInformed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +251,7 @@ func TestExecuteScheduleStopsEarly(t *testing.T) {
 func TestExecuteScheduleIncomplete(t *testing.T) {
 	g := gen.Path(5)
 	s := &Schedule{Sets: [][]int32{{0}}}
-	res, err := ExecuteSchedule(g, 0, s, StrictInformed)
+	res, err := replay(g, 0, s, StrictInformed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +274,7 @@ func TestRunProtocolAlwaysTransmitOnPath(t *testing.T) {
 	g := gen.Path(n)
 	rng := xrand.New(1)
 	always := ProtocolFunc(func(v int32, round int, at int32, r *xrand.Rand) bool { return true })
-	res := RunProtocol(g, 0, always, 5*n, rng)
+	res := runFresh(g, 0, always, 5*n, rng)
 	if !res.Completed {
 		t.Fatalf("flooding on path incomplete: %+v", res.Informed)
 	}
@@ -264,7 +298,7 @@ func TestRunProtocolFloodingStallsOnStarPair(t *testing.T) {
 	g := b.Build()
 	rng := xrand.New(2)
 	always := ProtocolFunc(func(v int32, round int, at int32, r *xrand.Rand) bool { return true })
-	res := RunProtocol(g, 0, always, 50, rng)
+	res := runFresh(g, 0, always, 50, rng)
 	if res.Completed {
 		t.Fatal("deterministic flooding should deadlock on the collision gadget")
 	}
@@ -286,22 +320,27 @@ func TestRunProtocolRandomizedEscapesCollision(t *testing.T) {
 	half := ProtocolFunc(func(v int32, round int, at int32, r *xrand.Rand) bool {
 		return r.Bernoulli(0.5)
 	})
-	res := RunProtocol(g, 0, half, 200, rng)
+	res := runFresh(g, 0, half, 200, rng)
 	if !res.Completed {
 		t.Fatal("randomized protocol failed to escape the collision gadget")
 	}
 }
 
+// TestBroadcastTimeSentinel pins the engine facts exec's maxRounds+1
+// sentinel is computed from (exec's TestTimeSentinel checks the value): a
+// run that cannot finish stops with exactly maxRounds rounds executed and
+// Done false; a run that finishes stops at its completion round.
 func TestBroadcastTimeSentinel(t *testing.T) {
 	g := gen.Path(6)
 	rng := xrand.New(4)
+	e := NewEngine(g, 0, StrictInformed)
 	never := ProtocolFunc(func(v int32, round int, at int32, r *xrand.Rand) bool { return false })
-	if got := BroadcastTime(g, 0, never, 10, rng); got != 11 {
-		t.Fatalf("BroadcastTime sentinel = %d, want 11", got)
+	if res := runOn(e, never, 10, rng); res.Completed || res.Rounds != 10 {
+		t.Fatalf("never-transmit run = %+v, want incomplete after 10 rounds", res)
 	}
 	always := ProtocolFunc(func(v int32, round int, at int32, r *xrand.Rand) bool { return true })
-	if got := BroadcastTime(g, 0, always, 10, rng); got != 5 {
-		t.Fatalf("BroadcastTime = %d, want 5", got)
+	if res := runOn(e, always, 10, rng); !res.Completed || res.Rounds != 5 {
+		t.Fatalf("flooding run = %+v, want complete after 5 rounds", res)
 	}
 }
 
@@ -387,7 +426,7 @@ func TestRandomGraphFloodingProgress(t *testing.T) {
 		}
 		return r.Bernoulli(1 / d)
 	})
-	res := RunProtocol(g, 0, p, 2000, rng)
+	res := runFresh(g, 0, p, 2000, rng)
 	if !res.Completed {
 		t.Fatalf("randomized flooding incomplete: informed %d/%d", res.Informed, n)
 	}

@@ -1,28 +1,42 @@
 package radio
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/trace"
 	"repro/internal/xrand"
 )
+
+// replayTraced replays s on e with a trace.Recorder attached and returns
+// the Result and the per-round records.
+func replayTraced(e *Engine, s *Schedule) (Result, []trace.RoundRecord, error) {
+	var rec trace.Recorder
+	e.Attach(&rec)
+	defer e.Attach(nil)
+	if err := e.ExecuteSchedule(context.Background(), s); err != nil {
+		return Result{}, nil, err
+	}
+	return e.Result(), rec.Records, nil
+}
 
 func TestExecuteScheduleTrace(t *testing.T) {
 	g := gen.Path(4)
 	e := NewEngine(g, 0, StrictInformed)
 	s := &Schedule{Sets: [][]int32{{0}, {1}, {2}}}
-	res, err := ExecuteScheduleTrace(e, s)
+	res, records, err := replayTraced(e, s)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Completed || res.Rounds != 3 {
-		t.Fatalf("result %+v", res.Result)
+		t.Fatalf("result %+v", res)
 	}
-	if len(res.Trace) != 3 {
-		t.Fatalf("trace has %d records", len(res.Trace))
+	if len(records) != 3 {
+		t.Fatalf("trace has %d records", len(records))
 	}
-	for i, rec := range res.Trace {
+	for i, rec := range records {
 		if rec.Round != i+1 {
 			t.Fatalf("record %d has round %d", i, rec.Round)
 		}
@@ -39,12 +53,12 @@ func TestExecuteScheduleTraceStopsEarly(t *testing.T) {
 	g := gen.Star(5)
 	e := NewEngine(g, 0, StrictInformed)
 	s := &Schedule{Sets: [][]int32{{0}, {1}, {2}}}
-	res, err := ExecuteScheduleTrace(e, s)
+	_, records, err := replayTraced(e, s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Trace) != 1 {
-		t.Fatalf("trace %d records after early completion", len(res.Trace))
+	if len(records) != 1 {
+		t.Fatalf("trace %d records after early completion", len(records))
 	}
 }
 
@@ -52,7 +66,7 @@ func TestExecuteScheduleTraceError(t *testing.T) {
 	g := gen.Path(3)
 	e := NewEngine(g, 0, StrictInformed)
 	s := &Schedule{Sets: [][]int32{{2}}}
-	if _, err := ExecuteScheduleTrace(e, s); err == nil {
+	if _, _, err := replayTraced(e, s); err == nil {
 		t.Fatal("uninformed transmitter accepted")
 	}
 }
@@ -70,17 +84,20 @@ func TestRunProtocolTraceMatchesUntraced(t *testing.T) {
 		return r.Bernoulli(1.0 / 12)
 	})
 	// Same seed: traced and untraced must agree exactly.
-	traced := RunProtocolTrace(NewEngine(g, 0, StrictInformed), p, 2000, xrand.New(7))
-	plain := RunProtocol(g, 0, p, 2000, xrand.New(7))
+	var rec trace.Recorder
+	e := NewEngine(g, 0, StrictInformed)
+	e.Attach(&rec)
+	traced := runOn(e, p, 2000, xrand.New(7))
+	plain := runFresh(g, 0, p, 2000, xrand.New(7))
 	if traced.Rounds != plain.Rounds || traced.Informed != plain.Informed {
-		t.Fatalf("traced %+v != plain %+v", traced.Result.Rounds, plain.Rounds)
+		t.Fatalf("traced %+v != plain %+v", traced.Rounds, plain.Rounds)
 	}
-	if len(traced.Trace) != traced.Rounds {
-		t.Fatalf("trace length %d != rounds %d", len(traced.Trace), traced.Rounds)
+	if len(rec.Records) != traced.Rounds {
+		t.Fatalf("trace length %d != rounds %d", len(rec.Records), traced.Rounds)
 	}
 	// Informed counts must be non-decreasing and end at n.
 	prev := 1
-	for _, rec := range traced.Trace {
+	for _, rec := range rec.Records {
 		if rec.Informed < prev {
 			t.Fatalf("informed decreased at round %d", rec.Round)
 		}
@@ -92,7 +109,7 @@ func TestRunProtocolTraceMatchesUntraced(t *testing.T) {
 }
 
 func TestRoundRecordString(t *testing.T) {
-	s := RoundRecord{Round: 3, Transmitters: 5, NewlyInformed: 2, Informed: 10}.String()
+	s := trace.RoundRecord{Round: 3, Transmitters: 5, NewlyInformed: 2, Informed: 10}.String()
 	for _, want := range []string{"round", "3", "5", "2", "10"} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("record string %q missing %q", s, want)

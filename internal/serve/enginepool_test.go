@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro"
 	"repro/internal/exec"
 )
 
@@ -78,6 +79,47 @@ func TestEnginePoolSameResult(t *testing.T) {
 	}
 	if rounds[0] != rounds[1] {
 		t.Errorf("pooled rerun diverged: %d vs %d rounds", rounds[0], rounds[1])
+	}
+}
+
+// TestEnginePoolCentralized: a centralized request replays its schedule
+// on a pooled engine too — one build, then reuse — and the pooled replay
+// is bit-identical to the fresh-engine first one.
+func TestEnginePoolCentralized(t *testing.T) {
+	s := NewServer(Config{})
+	defer s.Shutdown(0)
+	before := exec.Snapshot()
+	var first repro.Result
+	for i := 0; i < 3; i++ {
+		req := poolReq(5)
+		req.Algo = "centralized"
+		if err := req.validate(&s.cfg); err != nil {
+			t.Fatal(err)
+		}
+		sim, err := s.prepare(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sim.engine == nil {
+			t.Fatal("centralized request must check out a pooled engine")
+		}
+		res, err := sim.run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = res
+			first.InformedAt = nil // aliases the pooled engine's buffer
+		} else if !res.Completed || res.Rounds != first.Rounds || res.Stats != first.Stats {
+			t.Fatalf("pooled replay %d = %+v, first replay %+v", i, res, first)
+		}
+	}
+	after := exec.Snapshot()
+	if misses := after.Scalar.PoolMisses - before.Scalar.PoolMisses; misses != 1 {
+		t.Errorf("pool_misses delta = %d, want 1 (one build, then reuse)", misses)
+	}
+	if runs := after.Schedule.Runs - before.Schedule.Runs; runs != 3 {
+		t.Errorf("schedule runs delta = %d, want 3", runs)
 	}
 }
 

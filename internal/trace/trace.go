@@ -91,11 +91,11 @@ type Summary struct {
 }
 
 // Observer receives the per-round stream of a simulation run. Attach one
-// to an engine (Engine.Attach) or pass it to the observed runners.
+// to an engine (Engine.Attach) or pass it in an exec.Request.
 //
 // Observers are not synchronised: one observer must only ever be driven by
 // one engine/runner at a time. Concurrent sweeps use one observer per
-// worker and merge afterwards (see sweep.RunObserved and Counters.Add).
+// worker and merge afterwards (see Counters.Add).
 //
 // Runners drive the full BeginRun / Round* / EndRun cycle. Code that steps
 // an engine manually via Engine.Round only produces Round notifications.
@@ -129,7 +129,7 @@ type TransmitterObserver interface {
 // Recorder is an Observer that stores everything it sees in memory: the
 // run info, every round record, and the final summary. It is the bridge
 // between the streaming observer layer and code that wants a complete
-// trace as a value (radio.RunProtocolTrace, the planner example).
+// trace as a value (cmd/radiosim's -trace, experiment E23's tables).
 type Recorder struct {
 	Info    RunInfo
 	Records []RoundRecord

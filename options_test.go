@@ -3,6 +3,7 @@ package repro
 import (
 	"bytes"
 	"encoding/json"
+	"runtime"
 	"testing"
 )
 
@@ -15,17 +16,25 @@ func testGraph(t testing.TB, n int, d float64, seed uint64) *Graph {
 	return g
 }
 
-// TestRunReproducesBroadcast is the facade acceptance check: the options
-// entry point with WithPerNodeSampling must reproduce the positional one
-// bit-for-bit on the same seed (the deprecated wrappers are frozen to the
-// historical per-node randomness stream; plain Run uses the sampled fast
-// path, covered by TestRunSampledFastPath).
+// TestRunReproducesBroadcast is the facade acceptance check: WithSeed(s)
+// must reproduce WithRand(NewRand(s)) — the form the retired positional
+// Broadcast(g, src, d, rng) forwarded to — bit-for-bit on the per-node
+// stream (frozen by TestDeprecatedWrapperStreamsFrozen; plain Run uses
+// the sampled fast path, covered by TestRunSampledFastPath), and the
+// default seed must be 1.
 func TestRunReproducesBroadcast(t *testing.T) {
 	const n = 2000
 	const d = 25.0
 	g := testGraph(t, n, d, 1)
+	broadcast := func(seed uint64) Result {
+		res, err := Run(g, 0, WithDegree(d), WithRand(NewRand(seed)), WithPerNodeSampling())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
 	for seed := uint64(1); seed <= 5; seed++ {
-		want := Broadcast(g, 0, d, NewRand(seed))
+		want := broadcast(seed)
 		got, err := Run(g, 0, WithDegree(d), WithSeed(seed), WithPerNodeSampling())
 		if err != nil {
 			t.Fatal(err)
@@ -45,7 +54,7 @@ func TestRunReproducesBroadcast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := Broadcast(g, 0, d, NewRand(1))
+	want := broadcast(1)
 	if def.Rounds != want.Rounds || def.Stats != want.Stats {
 		t.Fatalf("default-seed Run %+v != Broadcast(seed 1) %+v", def, want)
 	}
@@ -91,7 +100,7 @@ func TestRunSampledFastPath(t *testing.T) {
 }
 
 // TestRunScheduleMatchesExecuteSchedule: the schedule path of Run is
-// ExecuteSchedule.
+// ExecuteScheduleOn on a fresh engine.
 func TestRunScheduleMatchesExecuteSchedule(t *testing.T) {
 	const n = 1000
 	const d = 16.0
@@ -100,7 +109,7 @@ func TestRunScheduleMatchesExecuteSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ExecuteSchedule(g, 0, sched)
+	want, err := ExecuteScheduleOn(NewEngine(g, 0), sched)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +118,63 @@ func TestRunScheduleMatchesExecuteSchedule(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.Completed != want.Completed || got.Rounds != want.Rounds || got.Stats != want.Stats {
-		t.Fatalf("Run schedule %+v != ExecuteSchedule %+v", got, want)
+		t.Fatalf("Run schedule %+v != ExecuteScheduleOn %+v", got, want)
+	}
+}
+
+// TestRunScheduleOnCallerEngine: WithEngine applies to schedule replay —
+// the result equals a fresh-engine replay, also from a dirty engine and
+// from another source, and a repeated call on the same engine allocates
+// nothing proportional to n (InformedAt aliases the engine's buffer).
+func TestRunScheduleOnCallerEngine(t *testing.T) {
+	const n = 2000
+	const d = 16.0
+	g := testGraph(t, n, d, 4)
+	e := NewEngine(g, 0)
+	if _, err := Run(g, 0, WithDegree(d), WithEngine(e)); err != nil {
+		t.Fatal(err) // leaves e in a completed protocol run's state
+	}
+	for _, src := range []int32{0, 7} {
+		sched, err := BuildSchedule(g, src, d, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Run(g, src, WithSchedule(sched))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Run(g, src, WithSchedule(sched), WithEngine(e))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Completed != want.Completed || got.Rounds != want.Rounds || got.Stats != want.Stats {
+			t.Fatalf("src %d: caller-engine replay %+v != fresh replay %+v", src, got, want)
+		}
+		for v := range want.InformedAt {
+			if got.InformedAt[v] != want.InformedAt[v] {
+				t.Fatalf("src %d: InformedAt[%d] = %d, fresh %d", src, v, got.InformedAt[v], want.InformedAt[v])
+			}
+		}
+	}
+	sched, err := BuildSchedule(g, 0, d, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replay := func() {
+		if _, err := Run(g, 0, WithSchedule(sched), WithEngine(e)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	replay() // sizes the result buffer
+	var before, after runtime.MemStats
+	const calls = 20
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		replay()
+	}
+	runtime.ReadMemStats(&after)
+	if perCall := (after.TotalAlloc - before.TotalAlloc) / calls; perCall >= n {
+		t.Fatalf("repeated caller-engine replay allocates %d B/call, want well under the %d B of one InformedAt copy", perCall, 4*n)
 	}
 }
 
@@ -194,19 +259,23 @@ func TestRunWithObserver(t *testing.T) {
 	}
 }
 
+// TestRunWithSourcesMatchesBroadcastMulti: a multi-source Run equals
+// RunProtocolOn on an engine set to the same sources and sampling mode.
 func TestRunWithSourcesMatchesBroadcastMulti(t *testing.T) {
 	const n = 800
 	const d = 10.0
 	g := testGraph(t, n, d, 6)
-	sources := []int32{0, 17, 23}
-	want := BroadcastMulti(g, sources, d, NewRand(8))
+	e := NewEngine(g, 0)
+	e.SetSources([]int32{0, 17, 23})
+	e.SetPerNodeSampling(true)
+	want := RunProtocolOn(e, NewProtocol(n, d), MaxRounds(n), NewRand(8))
 	got, err := Run(g, 0, WithSources(17, 23), WithDegree(d), WithRand(NewRand(8)),
 		WithPerNodeSampling())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Rounds != want.Rounds || got.Stats != want.Stats {
-		t.Fatalf("Run multi %+v != BroadcastMulti %+v", got, want)
+		t.Fatalf("Run multi %+v != RunProtocolOn %+v", got, want)
 	}
 }
 
@@ -255,7 +324,10 @@ func TestGossipWithMatchesGossip(t *testing.T) {
 func TestBroadcastMultiObserver(t *testing.T) {
 	g := testGraph(t, 400, 9, 10)
 	var c Counters
-	res := BroadcastMulti(g, []int32{0, 5}, 9, NewRand(4), &c)
+	res, err := Run(g, 0, WithSources(5), WithDegree(9), WithRand(NewRand(4)), WithObserver(&c), WithPerNodeSampling())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if c.Rounds != res.Rounds || c.Informed != res.Informed {
 		t.Fatalf("counters %+v != result %+v", c, res)
 	}

@@ -58,11 +58,9 @@
 //   - Run (and RunProtocolOn, BroadcastTime, BroadcastTimeOn, the gossip
 //     runners) default to the sampled fast path; opt out per call with
 //     WithPerNodeSampling, or per engine with Engine.SetPerNodeSampling.
-//   - The deprecated positional wrappers (Broadcast, RunProtocol,
-//     BroadcastMulti) opt out internally and keep their historical
-//     per-node streams bit-for-bit stable across releases.
-//   - ExecuteSchedule and BuildSchedule take no per-round randomness from
-//     the engine and are unaffected.
+//     The per-node stream is bit-for-bit stable across releases.
+//   - Schedule replay (WithSchedule, ExecuteScheduleOn) and BuildSchedule
+//     take no per-round randomness from the engine and are unaffected.
 //
 // The runnable examples under examples/ exercise these entry points on the
 // scenarios from the paper's motivation; cmd/experiments regenerates every
@@ -70,7 +68,10 @@
 package repro
 
 import (
+	"context"
+
 	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/radio"
@@ -174,30 +175,49 @@ func NewProtocol(n int, d float64) Protocol {
 // comparable). It uses the sampled fast path when p declares uniform
 // rounds, so its randomness stream changed when the fast path landed
 // (recorded completion times at fixed seeds shifted; distributions did
-// not).
+// not). It panics if src is outside [0, g.N()).
 func BroadcastTime(g *Graph, src int32, p Protocol, maxRounds int, rng *Rand) int {
-	return radio.BroadcastTime(g, src, p, maxRounds, rng)
+	r, err := exec.Time(context.Background(), &exec.Request{Graph: g, Sources: []int32{src}, Protocol: p, MaxRounds: maxRounds}, rng)
+	if err != nil {
+		panic(err)
+	}
+	return r
 }
 
 // RunProtocolOn is Run's protocol loop on a caller-owned engine: the
-// engine is reset and reused, so a loop of trials over one graph
-// allocates nothing per trial. Like Run (and unlike the deprecated
-// RunProtocol) it uses the sampled fast path when the protocol supports
-// it; call e.SetPerNodeSampling(true) for the per-node stream.
+// engine is reset to its initial informed set and reused, keeping its
+// observer, sampling mode and result-reuse setting, so a loop of trials
+// over one graph allocates nothing per trial beyond the Result. Like Run
+// it uses the sampled fast path when the protocol supports it; call
+// e.SetPerNodeSampling(true) for the per-node stream.
 func RunProtocolOn(e *Engine, p Protocol, maxRounds int, rng *Rand) Result {
-	return radio.RunProtocolOn(e, p, maxRounds, rng)
+	res, _ := exec.Run(context.Background(), onEngine(e, p, maxRounds), rng) // protocol runs cannot fail
+	return res
 }
 
-// BroadcastTimeOn is BroadcastTime on a caller-owned engine (reset first);
-// unlike RunProtocolOn it builds no Result, so a trial is allocation-free.
+// BroadcastTimeOn is BroadcastTime on a caller-owned engine (reset first,
+// as in RunProtocolOn); unlike RunProtocolOn it builds no Result, so a
+// trial is allocation-free.
 func BroadcastTimeOn(e *Engine, p Protocol, maxRounds int, rng *Rand) int {
-	return radio.BroadcastTimeOn(e, p, maxRounds, rng)
+	r, _ := exec.Time(context.Background(), onEngine(e, p, maxRounds), rng)
+	return r
 }
 
-// ExecuteScheduleOn is ExecuteSchedule on a caller-owned engine (reset
-// first), for replaying many schedules on one graph without reallocating.
+// ExecuteScheduleOn replays s on a caller-owned engine (reset first, as
+// in RunProtocolOn) under the engine's policy, for replaying many
+// schedules on one graph without reallocating.
 func ExecuteScheduleOn(e *Engine, s *Schedule) (Result, error) {
-	return radio.ExecuteScheduleOn(e, s)
+	req := onEngine(e, nil, 0)
+	req.Schedule = s
+	return exec.Run(context.Background(), req, nil)
+}
+
+// onEngine is the execution request for p on the caller-owned engine e
+// as the caller configured it: its own initial informed set, observer and
+// sampling mode.
+func onEngine(e *Engine, p Protocol, maxRounds int) *exec.Request {
+	return &exec.Request{Graph: e.Graph(), Sources: e.Sources(), Protocol: p, MaxRounds: maxRounds,
+		PerNode: e.PerNodeSampling(), Observer: e.Observer(), Engine: e}
 }
 
 // CentralizedBound returns the Theorem 5/6 bound ln n / ln d + ln d.

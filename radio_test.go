@@ -21,8 +21,8 @@ func TestFacadeQuickstartFlow(t *testing.T) {
 	}
 
 	// Distributed protocol.
-	res := Broadcast(g, 0, d, rng)
-	if !res.Completed {
+	res, err := Run(g, 0, WithDegree(d), WithRand(rng), WithPerNodeSampling())
+	if err != nil || !res.Completed {
 		t.Fatalf("distributed incomplete: %d/%d", res.Informed, n)
 	}
 	if float64(res.Rounds) > 30*DistributedBound(n) {
@@ -34,7 +34,7 @@ func TestFacadeQuickstartFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cres, err := ExecuteSchedule(g, 0, sched)
+	cres, err := Run(g, 0, WithSchedule(sched))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,10 @@ func TestFacadeCustomProtocol(t *testing.T) {
 	p := ProtocolFunc(func(v int32, round int, informedAt int32, r *Rand) bool {
 		return r.Bernoulli(1.0 / 15)
 	})
-	res := RunProtocol(g, 0, p, 5000, rng)
+	res, err := Run(g, 0, WithProtocol(p), WithMaxRounds(5000), WithRand(rng), WithPerNodeSampling())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Informed < 2 {
 		t.Fatal("custom protocol informed nobody")
 	}
@@ -63,6 +66,24 @@ func TestFacadeCustomProtocol(t *testing.T) {
 	never := ProtocolFunc(func(v int32, round int, informedAt int32, r *Rand) bool { return false })
 	if got := BroadcastTime(g, 0, never, 5, rng); got != 6 {
 		t.Fatalf("sentinel = %d", got)
+	}
+}
+
+// TestFacadeEngineReuseAllocs: the caller-owned-engine entry points keep
+// their steady-state allocation promises through the execution layer —
+// BroadcastTimeOn allocates nothing, RunProtocolOn only the Result's
+// InformedAt copy.
+func TestFacadeEngineReuseAllocs(t *testing.T) {
+	g := GnpDegree(2000, 10, NewRand(1))
+	e := NewEngine(g, 0)
+	p := NewProtocol(2000, 10)
+	rng := NewRand(2)
+	BroadcastTimeOn(e, p, 400, rng) // sizes the engine's eligible lists
+	if avg := testing.AllocsPerRun(20, func() { BroadcastTimeOn(e, p, 400, rng) }); avg != 0 {
+		t.Errorf("BroadcastTimeOn allocates %.1f per trial, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(20, func() { RunProtocolOn(e, p, 400, rng) }); avg > 1 {
+		t.Errorf("RunProtocolOn allocates %.1f per trial, want <= 1 (InformedAt copy)", avg)
 	}
 }
 

@@ -3,18 +3,24 @@
 #
 # Engine construction — lanes.NewEngine, radio.NewEngine,
 # radio.NewEngineMulti, repro.NewEngine — is the unified execution
-# layer's job. Consumers (the facade batch/run paths, sweep, campaign,
-# serve, cluster) must go through internal/exec so backend selection,
-# pooling and counters stay in one place. This script fails if any
-# non-test file in a consumer layer constructs an engine directly.
+# layer's job. Consumers (the facade run, batch and extension paths,
+# sweep, the experiments, campaign, serve, cluster and the CLIs) must go
+# through internal/exec so backend selection, pooling and counters stay
+# in one place. This script fails if any non-test file in a consumer
+# layer constructs an engine directly.
 #
 # Deliberately exempt:
 #   - internal/exec itself (the one legitimate construction site)
 #   - _test.go files (tests build reference engines to diff against)
 #   - internal/oracle (the differential oracle must build engines
 #     independently of the layer it is checking)
-#   - radio.go / deprecated.go facade constructors (NewEngine is public
-#     API; the lint guards the run paths, not the constructor export)
+#   - the radio.go facade constructor (NewEngine is public API; the lint
+#     guards the run paths, not the constructor export)
+#   - the Section 2 schedule builders and searches in internal/core,
+#     internal/lower and internal/geo: they use an engine as an
+#     informed-set tracker while they construct a schedule round by
+#     round, not as a trial runner (lower's searches hand their one
+#     engine to exec through Request.Engine to run their trials)
 
 set -eu
 cd "$(dirname "$0")/.."
@@ -32,8 +38,10 @@ scan() {
 }
 
 fail=0
-scan "the facade run paths (batch.go, options.go)" batch.go options.go || fail=1
+scan "the facade run paths (batch.go, options.go, extensions.go)" batch.go options.go extensions.go || fail=1
 scan "internal/sweep" internal/sweep || fail=1
+scan "internal/exp" internal/exp || fail=1
+scan "cmd/" cmd || fail=1
 scan "internal/campaign" internal/campaign || fail=1
 scan "internal/serve" internal/serve || fail=1
 scan "internal/cluster" internal/cluster || fail=1

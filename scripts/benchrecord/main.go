@@ -76,7 +76,7 @@ var whatFor = map[string]string{
 	"BenchmarkLaneBroadcastSmall":         "lane engine at n=10000 d=25 for the EXPERIMENTS.md throughput table",
 	"BenchmarkBroadcastReusePerNode":      "per-node sampling opt-out (pre-fast-path behaviour)",
 	"BenchmarkSubstrateCentralizedBuild":  "Theorem 5 schedule builder (core.BuildCentralizedSchedule via BuildSchedule), one schedule per op, seed = iteration index",
-	"BenchmarkSubstrateCentralizedReplay": "radio.ExecuteSchedule replay of the builder's schedules on the same graph, one replay per op; build ns/op over replay ns/op is the builder's overhead",
+	"BenchmarkSubstrateCentralizedReplay": "Run+WithSchedule replay of the builder's schedules on the same graph, one replay per op; build ns/op over replay ns/op is the builder's overhead",
 	"BenchmarkFacadeRunBatch":             "facade RunBatch through the unified execution layer (internal/exec): classification, seed derivation, balanced block sharding and pooled lane-engine checkout included; ns/trial and B/op vs BenchmarkLaneBroadcast are the executor overhead",
 }
 
