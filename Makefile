@@ -72,14 +72,17 @@ bench-record:
 experiments:
 	go run ./cmd/experiments -scale medium -seed 2006
 
-# Regenerate the medium-scale tables and diff them against the checked-in
-# results/medium.txt, ignoring the per-experiment "(E.., scale=medium,
+# Regenerate the medium-scale tables and the full-scale E1/E4 spot check
+# and diff them against the checked-in results/medium.txt and
+# results/full_spot.txt, ignoring the per-experiment "(E.., scale=..,
 # N.Ns)" timing lines. The output does not depend on GOMAXPROCS.
-TIMING_LINES = '^ *\(E[0-9]+, scale=medium, [0-9.]+s\)$$'
+TIMING_LINES = '^ *\(E[0-9]+, scale=[a-z]+, [0-9.]+s\)$$'
 results-check:
 	go run ./cmd/experiments -scale medium -seed 2006 | grep -vE $(TIMING_LINES) > /tmp/results-check.txt
 	grep -vE $(TIMING_LINES) results/medium.txt | diff -u - /tmp/results-check.txt
-	@echo "results-check: results/medium.txt matches the regenerated output"
+	go run ./cmd/experiments -scale full -seed 2006 E1 E4 | grep -vE $(TIMING_LINES) > /tmp/results-check-full.txt
+	grep -vE $(TIMING_LINES) results/full_spot.txt | diff -u - /tmp/results-check-full.txt
+	@echo "results-check: results/medium.txt and results/full_spot.txt match the regenerated output"
 
 # Machine-checkable reproduction scorecard: one pass/fail per claim.
 verify:
@@ -122,6 +125,7 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzGraphBuild$$' -fuzztime 10s ./internal/graph/
 	go test -run '^$$' -fuzz '^FuzzSubgraph$$' -fuzztime 10s ./internal/graph/
 	go test -run '^$$' -fuzz '^FuzzReadSchedule$$' -fuzztime 10s ./internal/radio/
+	go test -run '^$$' -fuzz '^FuzzReception$$' -fuzztime 10s ./internal/radio/
 	go test -run '^$$' -fuzz '^FuzzLoadSamples$$' -fuzztime 10s ./internal/campaign/
 	go test -run '^$$' -fuzz '^FuzzGreedyIndependentCover$$' -fuzztime 10s ./internal/structure/
 

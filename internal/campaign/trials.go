@@ -162,18 +162,6 @@ func (t TrialSpec) maxRounds() int {
 // seeds use ids 1..Trials (sweep.Seeds), so 0 is free.
 const graphSeedID = 0
 
-// sampleConnected draws a connected G(n, d/n), panicking after 100 failed
-// attempts — for the degree regimes campaigns run this indicates a
-// misconfigured point, and the panic is captured by the pool's fault
-// tolerance and recorded as a failed sample.
-func sampleConnected(n int, d float64, rng *xrand.Rand) *graph.Graph {
-	g, _, ok := gen.ConnectedGnp(n, gen.PForDegree(n, d), rng, 100)
-	if !ok {
-		panic(fmt.Sprintf("campaign: no connected G(n=%d, d=%.2f) in 100 draws; degree too low", n, d))
-	}
-	return g
-}
-
 // protocolRunner measures the completion round of a randomized protocol:
 // value is the round the broadcast completed (maxRounds+1 if it did not),
 // ok reports completion. With FixedGraph the graph is sampled once per
@@ -193,7 +181,7 @@ func newProtocolKind(proto func(TrialSpec) radio.Protocol) NewRunnerFunc {
 	return func(p PointSpec, pointSeed uint64) (Runner, error) {
 		r := &protocolRunner{spec: p.Trial, proto: proto(p.Trial), maxRounds: p.Trial.maxRounds()}
 		if p.Trial.FixedGraph {
-			g := sampleConnected(p.Trial.N, p.Trial.D, xrand.New(pointSeed).Derive(graphSeedID))
+			g := gen.MustConnectedGnp(p.Trial.N, p.Trial.D, xrand.New(pointSeed).Derive(graphSeedID))
 			r.sess = exec.Open(&exec.Request{Graph: g, Sources: []int32{0}, Protocol: r.proto, MaxRounds: r.maxRounds})
 		}
 		return r, nil
@@ -210,7 +198,7 @@ func (r *protocolRunner) RunTrial(rng *xrand.Rand) (float64, bool) {
 	if r.sess != nil {
 		rounds, _ = r.sess.Time(context.Background(), rng)
 	} else {
-		g := sampleConnected(r.spec.N, r.spec.D, rng)
+		g := gen.MustConnectedGnp(r.spec.N, r.spec.D, rng)
 		rounds, _ = exec.Time(context.Background(), r.oneShot(g), rng)
 	}
 	return float64(rounds), rounds <= r.maxRounds
@@ -229,7 +217,7 @@ func (r *protocolRunner) RunTrialContext(ctx context.Context, rng *xrand.Rand) (
 		if err := ctx.Err(); err != nil {
 			return 0, false, radio.Canceled(ctx)
 		}
-		g := sampleConnected(r.spec.N, r.spec.D, rng)
+		g := gen.MustConnectedGnp(r.spec.N, r.spec.D, rng)
 		rounds, err = exec.Time(ctx, r.oneShot(g), rng)
 	}
 	if err != nil {
@@ -284,7 +272,7 @@ type centralizedRunner struct {
 func newCentralizedRunner(p PointSpec, pointSeed uint64) (Runner, error) {
 	r := &centralizedRunner{spec: p.Trial}
 	if p.Trial.FixedGraph {
-		r.fixed = sampleConnected(p.Trial.N, p.Trial.D, xrand.New(pointSeed).Derive(graphSeedID))
+		r.fixed = gen.MustConnectedGnp(p.Trial.N, p.Trial.D, xrand.New(pointSeed).Derive(graphSeedID))
 	}
 	return r, nil
 }
@@ -292,7 +280,7 @@ func newCentralizedRunner(p PointSpec, pointSeed uint64) (Runner, error) {
 func (r *centralizedRunner) RunTrial(rng *xrand.Rand) (float64, bool) {
 	g := r.fixed
 	if g == nil {
-		g = sampleConnected(r.spec.N, r.spec.D, rng)
+		g = gen.MustConnectedGnp(r.spec.N, r.spec.D, rng)
 	}
 	sched, _, err := core.BuildCentralizedSchedule(g, 0, r.spec.D, core.DefaultCentralizedConfig(rng.Uint64()))
 	if err != nil {
@@ -325,7 +313,7 @@ func newCollisionRateRunner(p PointSpec, pointSeed uint64) (Runner, error) {
 		proto:     core.NewDistributedProtocol(p.Trial.N, p.Trial.D),
 	}
 	if p.Trial.FixedGraph {
-		g := sampleConnected(p.Trial.N, p.Trial.D, xrand.New(pointSeed).Derive(graphSeedID))
+		g := gen.MustConnectedGnp(p.Trial.N, p.Trial.D, xrand.New(pointSeed).Derive(graphSeedID))
 		r.sess = exec.Open(&exec.Request{
 			Graph: g, Sources: []int32{0}, Protocol: r.proto,
 			MaxRounds: r.maxRounds, Observer: &r.counters,
@@ -343,7 +331,7 @@ func (r *collisionRateRunner) RunTrial(rng *xrand.Rand) (float64, bool) {
 	if r.sess != nil {
 		rounds, _ = r.sess.Time(context.Background(), rng)
 	} else {
-		g := sampleConnected(r.spec.N, r.spec.D, rng)
+		g := gen.MustConnectedGnp(r.spec.N, r.spec.D, rng)
 		rounds, _ = exec.Time(context.Background(), &exec.Request{
 			Graph: g, Sources: []int32{0}, Protocol: r.proto,
 			MaxRounds: r.maxRounds, Observer: &r.counters,

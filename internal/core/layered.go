@@ -107,19 +107,18 @@ func greedySetCover(g *graph.Graph, candidates, target []int32) []int32 {
 // notes record how much slack it finds in the Theorem 5 schedules.
 func CompressSchedule(g *graph.Graph, src int32, s *radio.Schedule) (*radio.Schedule, error) {
 	e := radio.NewEngine(g, src, radio.StrictInformed)
+	c := &compressor{e: e, mark: make([]bool, g.N())}
 	out := &radio.Schedule{}
 	for _, set := range s.Sets {
 		if e.Done() {
 			break
 		}
-		kept := compressRound(g, e, set)
+		kept := c.round(set)
 		if len(kept) == 0 {
 			continue // round informed nobody even before compression
 		}
-		owned := make([]int32, len(kept))
-		copy(owned, kept)
-		out.Sets = append(out.Sets, owned)
-		if _, err := e.Round(owned); err != nil {
+		out.Sets = append(out.Sets, kept)
+		if _, err := e.Round(kept); err != nil {
 			return nil, err
 		}
 	}
@@ -137,67 +136,73 @@ func CompressSchedule(g *graph.Graph, src int32, s *radio.Schedule) (*radio.Sche
 	return out, nil
 }
 
-// compressRound returns a subset of set whose newly-informed node SET is
-// a superset of the full set's, on the current engine state: transmitters
+// compressor holds CompressSchedule's simulation: the engine it advances
+// round by round, a reception kernel for candidate sets, and a dense mark
+// set (all false between calls).
+type compressor struct {
+	e    *radio.Engine
+	rx   radio.Reception
+	mark []bool
+}
+
+// round returns a subset of set whose newly-informed node SET is a
+// superset of the full set's, on the current engine state: transmitters
 // are dropped greedily only when removal loses no receiver (it can gain
 // un-collided ones). The superset requirement — rather than a count
 // comparison — is what keeps every later round of the original schedule
 // valid: the compressed run's informed set dominates the original's at
 // every prefix, and "exactly one transmitting neighbour" does not depend
 // on informedness, so every originally-informed node stays informed.
-func compressRound(g *graph.Graph, e *radio.Engine, set []int32) []int32 {
-	// newlySet computes the receivers of a candidate transmit set without
-	// touching e.
-	newlySet := func(tx []int32) map[int32]bool {
-		inTx := make(map[int32]bool, len(tx))
-		for _, v := range tx {
-			inTx[v] = true
-		}
-		hits := make(map[int32]int)
-		for v := range inTx {
-			for _, w := range g.Neighbors(v) {
-				hits[w]++
-			}
-		}
-		out := make(map[int32]bool)
-		for w, h := range hits {
-			if h == 1 && !inTx[w] && !e.Informed(w) {
-				out[w] = true
-			}
-		}
-		return out
-	}
-	superset := func(big, small map[int32]bool) bool {
-		for w := range small {
-			if !big[w] {
-				return false
-			}
-		}
-		return true
-	}
+func (c *compressor) round(set []int32) []int32 {
 	current := make([]int32, 0, len(set))
-	seen := make(map[int32]bool, len(set))
 	for _, v := range set {
-		if !seen[v] && e.Informed(v) {
-			seen[v] = true
+		if !c.mark[v] && c.e.Informed(v) {
+			c.mark[v] = true
 			current = append(current, v)
 		}
 	}
-	base := newlySet(current)
+	c.unmark(current)
+	base := c.newly(current, nil)
 	if len(base) == 0 {
 		return nil
 	}
 	// Greedy elimination, one pass.
+	var trial, got []int32
 	for i := 0; i < len(current); {
-		trial := make([]int32, 0, len(current)-1)
-		trial = append(trial, current[:i]...)
-		trial = append(trial, current[i+1:]...)
-		if got := newlySet(trial); superset(got, base) {
-			current = trial
-			base = got
+		trial = append(append(trial[:0], current[:i]...), current[i+1:]...)
+		got = c.newly(trial, got[:0])
+		covered := true
+		for _, v := range got {
+			c.mark[v] = true
+		}
+		for _, w := range base {
+			covered = covered && c.mark[w]
+		}
+		c.unmark(got)
+		if covered {
+			current, trial = trial, current
+			base, got = got, base
 		} else {
 			i++
 		}
 	}
 	return current
+}
+
+// newly appends to dst the receivers that transmit set tx would inform
+// on the current engine state, without touching the engine.
+func (c *compressor) newly(tx, dst []int32) []int32 {
+	c.rx.Receive(c.e.Graph(), tx)
+	for _, w := range c.rx.Clean {
+		if !c.e.Informed(w) {
+			dst = append(dst, w)
+		}
+	}
+	return dst
+}
+
+func (c *compressor) unmark(vs []int32) {
+	for _, v := range vs {
+		c.mark[v] = false
+	}
 }

@@ -9,6 +9,7 @@ import (
 	"math"
 
 	"repro/internal/core"
+	"repro/internal/gen"
 	"repro/internal/radio"
 	"repro/internal/stats"
 	"repro/internal/sweep"
@@ -47,7 +48,7 @@ func runE12(cfg Config) []*table.Table {
 	for i, v := range variants {
 		v := v
 		samples := sweep.Run(trials, cfg.Seed+uint64(i)*811, func(rng *xrand.Rand) float64 {
-			g := sampleConnected(n, d, rng)
+			g := gen.MustConnectedGnp(n, d, rng)
 			c := core.DefaultCentralizedConfig(rng.Uint64())
 			v.mod(&c)
 			sched, _, err := core.BuildCentralizedSchedule(g, 0, d, c)
@@ -86,7 +87,7 @@ func runE12(cfg Config) []*table.Table {
 	for i, v := range pools {
 		v := v
 		samples := sweep.Run(trials, cfg.Seed+uint64(i)*907, func(rng *xrand.Rand) float64 {
-			g := sampleConnected(n, d, rng)
+			g := gen.MustConnectedGnp(n, d, rng)
 			return trialRounds(g, v.mk(), maxR, rng)
 		})
 		completed := 0

@@ -47,7 +47,7 @@ func runE5(cfg Config) []*table.Table {
 	n := map[Scale]int{Small: 1000, Medium: 8000, Full: 32000}[cfg.Scale]
 	d := 2 * math.Log(float64(n))
 	rng := xrand.New(cfg.Seed)
-	g := sampleConnected(n, d, rng)
+	g := gen.MustConnectedGnp(n, d, rng)
 	maxRounds := 4 * n // lets round-robin finish, others finish far earlier
 
 	t := table.New(fmt.Sprintf("E5: protocol comparison on G(n=%d, d=2 ln n)", n),
@@ -119,7 +119,7 @@ func runE10(cfg Config) []*table.Table {
 	highDeg := (int(dGnp)*nGnp - lowDeg*nLow) / nHigh
 	bimodal := gen.ConfigurationModel(gen.BimodalSequence(nLow, lowDeg, nHigh, highDeg), rng)
 	topos := []topo{
-		{"G(n,p) d=2 ln n", sampleConnected(nGnp, dGnp, rng), dGnp},
+		{"G(n,p) d=2 ln n", gen.MustConnectedGnp(nGnp, dGnp, rng), dGnp},
 		{fmt.Sprintf("hypercube dim %d", dim), gen.Hypercube(dim), float64(dim)},
 		{"random regular d=16", gen.RandomRegular(nReg, 16, rng), 16},
 		{"bimodal config model", bimodal, dGnp},

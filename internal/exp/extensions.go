@@ -50,7 +50,7 @@ func runE13(cfg Config) []*table.Table {
 		budget := 50*n + 100000
 		mk := func(p gossip.Protocol, off uint64) float64 {
 			samples := sweep.Run(trials, cfg.Seed+uint64(i)*1009+off, func(rng *xrand.Rand) float64 {
-				g := sampleConnected(n, d, rng)
+				g := gen.MustConnectedGnp(n, d, rng)
 				return float64(gossip.Time(g, p, budget, rng))
 			})
 			return stats.Median(samples)

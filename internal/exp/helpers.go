@@ -6,24 +6,11 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/exec"
-	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/radio"
 	"repro/internal/stats"
 	"repro/internal/xrand"
 )
-
-// sampleConnected draws a connected G(n,p) with expected degree d, retrying
-// as needed; it panics only if no connected sample appears in 100 draws,
-// which for the degree regimes used here indicates a misconfigured
-// experiment rather than bad luck.
-func sampleConnected(n int, d float64, rng *xrand.Rand) *graph.Graph {
-	g, _, ok := gen.ConnectedGnp(n, gen.PForDegree(n, d), rng, 100)
-	if !ok {
-		panic("exp: could not sample a connected graph; degree too low for n")
-	}
-	return g
-}
 
 // centralizedRounds builds and replays the Theorem 5 schedule once and
 // returns its length in rounds.

@@ -10,6 +10,7 @@ import (
 	"math"
 
 	"repro/internal/core"
+	"repro/internal/gen"
 	"repro/internal/protocols"
 	"repro/internal/radio"
 	"repro/internal/stats"
@@ -32,7 +33,7 @@ func runE19(cfg Config) []*table.Table {
 	n := map[Scale]int{Small: 1000, Medium: 8000, Full: 32000}[cfg.Scale]
 	d := 2 * math.Log(float64(n))
 	rng := xrand.New(cfg.Seed)
-	g := sampleConnected(n, d, rng)
+	g := gen.MustConnectedGnp(n, d, rng)
 	budget := 40 * core.MaxRoundsFor(n)
 	lnN := math.Log(float64(n))
 

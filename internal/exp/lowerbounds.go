@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"repro/internal/core"
+	"repro/internal/gen"
 	"repro/internal/lower"
 	"repro/internal/table"
 	"repro/internal/xrand"
@@ -46,7 +47,7 @@ func runE3(cfg Config) []*table.Table {
 		rounds := make([]float64, 0, trials)
 		for trial := 0; trial < trials; trial++ {
 			rng := parent.Derive(uint64(trial) + 1)
-			g := sampleConnected(n, d, rng)
+			g := gen.MustConnectedGnp(n, d, rng)
 			_, res, err := lower.GreedyAdaptiveSchedule(g, 0, 100000)
 			if err != nil {
 				panic(err)
@@ -103,7 +104,7 @@ func runE6(cfg Config) []*table.Table {
 	for i, n := range ns {
 		d := 2 * math.Log(float64(n))
 		rng := xrand.New(cfg.Seed + uint64(i)*503)
-		g := sampleConnected(n, d, rng)
+		g := gen.MustConnectedGnp(n, d, rng)
 		best, _ := lower.OptimizeSequence(g, 0, d, core.MaxRoundsFor(n), trials, rng)
 		t.AddRow(n, d, best, core.DistributedBound(n), best/core.DistributedBound(n))
 	}

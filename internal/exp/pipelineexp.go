@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/gen"
 	"repro/internal/pipeline"
 	"repro/internal/stats"
 	"repro/internal/sweep"
@@ -38,7 +39,7 @@ func runE20(cfg Config) []*table.Table {
 	n := map[Scale]int{Small: 500, Medium: 4000, Full: 16000}[cfg.Scale]
 	d := 2 * math.Log(float64(n))
 	rng := xrand.New(cfg.Seed)
-	g := sampleConnected(n, d, rng)
+	g := gen.MustConnectedGnp(n, d, rng)
 	budget := 4000 * 64 // generous: worst row is blind selection at k=32
 
 	t := table.New(fmt.Sprintf("E20: k-broadcast on G(n=%d, d=2 ln n) — median rounds", n),

@@ -115,7 +115,7 @@ func runE15(cfg Config) []*table.Table {
 		parent := xrand.New(cfg.Seed + uint64(i)*1201)
 		for trial := 0; trial < trials; trial++ {
 			rng := parent.Derive(uint64(trial) + 1)
-			g := sampleConnected(n, d, rng)
+			g := gen.MustConnectedGnp(n, d, rng)
 			res := r.run(g, rng)
 			if !res.Completed {
 				panic(fmt.Sprintf("E15 %q incomplete", r.name))
@@ -142,7 +142,7 @@ func runE16(cfg Config) []*table.Table {
 		var ratios, rounds, norm []float64
 		for trial := 0; trial < trials; trial++ {
 			rng := parent.Derive(uint64(trial) + 1)
-			g := sampleConnected(n, d, rng)
+			g := gen.MustConnectedGnp(n, d, rng)
 			sc := faults.Crash(g, 0, q, rng)
 			reachable := sc.ReachableFromSource()
 			dSurv := d * (1 - q)

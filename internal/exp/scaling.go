@@ -8,6 +8,7 @@ import (
 	"math"
 
 	"repro/internal/core"
+	"repro/internal/gen"
 	"repro/internal/stats"
 	"repro/internal/sweep"
 	"repro/internal/table"
@@ -43,7 +44,7 @@ func runE1(cfg Config) []*table.Table {
 	for i, n := range nLadder(cfg.Scale) {
 		d := 2 * math.Log(float64(n))
 		samples := sweep.Run(trials, cfg.Seed+uint64(i)*101, func(rng *xrand.Rand) float64 {
-			g := sampleConnected(n, d, rng)
+			g := gen.MustConnectedGnp(n, d, rng)
 			return float64(centralizedRounds(g, d, rng.Uint64()))
 		})
 		mean, p10, p90 := summarizeRounds(samples)
@@ -67,7 +68,7 @@ func runE2(cfg Config) []*table.Table {
 	var meas, bounds []float64
 	for i, d := range ds {
 		samples := sweep.Run(trials, cfg.Seed+uint64(i)*211, func(rng *xrand.Rand) float64 {
-			g := sampleConnected(n, d, rng)
+			g := gen.MustConnectedGnp(n, d, rng)
 			return float64(centralizedRounds(g, d, rng.Uint64()))
 		})
 		mean, _, _ := summarizeRounds(samples)
@@ -97,7 +98,7 @@ func runE4(cfg Config) []*table.Table {
 		for i, n := range nLadder(cfg.Scale) {
 			d := regime.d(n)
 			samples := sweep.Run(trials, cfg.Seed+uint64(i)*307, func(rng *xrand.Rand) float64 {
-				g := sampleConnected(n, d, rng)
+				g := gen.MustConnectedGnp(n, d, rng)
 				return distributedRounds(g, d, rng)
 			})
 			mean, p10, p90 := summarizeRounds(samples)

@@ -55,7 +55,7 @@ func Scorecard(cfg Config) []Check {
 		for i, n := range []int{1000, 4000} {
 			d := 2 * math.Log(float64(n))
 			samples := sweep.Run(trials, cfg.Seed+uint64(i)*17, func(rng *xrand.Rand) float64 {
-				g := sampleConnected(n, d, rng)
+				g := gen.MustConnectedGnp(n, d, rng)
 				return float64(centralizedRounds(g, d, rng.Uint64()))
 			})
 			ratios = append(ratios, stats.Mean(samples)/core.CentralizedBound(n, d))
@@ -72,7 +72,7 @@ func Scorecard(cfg Config) []Check {
 		n := 1000
 		d := 2 * math.Log(float64(n))
 		rng := xrand.New(cfg.Seed + 31)
-		g := sampleConnected(n, d, rng)
+		g := gen.MustConnectedGnp(n, d, rng)
 		_, res, err := lower.GreedyAdaptiveSchedule(g, 0, 100000)
 		pass := err == nil && res.Completed &&
 			float64(res.Rounds) >= 0.5*core.CentralizedBound(n, d) &&
@@ -87,7 +87,7 @@ func Scorecard(cfg Config) []Check {
 		for i, n := range []int{1000, 4000} {
 			d := 2 * math.Log(float64(n))
 			samples := sweep.Run(trials, cfg.Seed+uint64(i)*41, func(rng *xrand.Rand) float64 {
-				g := sampleConnected(n, d, rng)
+				g := gen.MustConnectedGnp(n, d, rng)
 				return distributedRounds(g, d, rng)
 			})
 			ratios = append(ratios, stats.Mean(samples)/core.DistributedBound(n))
@@ -103,7 +103,7 @@ func Scorecard(cfg Config) []Check {
 		n := 2000
 		d := 2 * math.Log(float64(n))
 		rng := xrand.New(cfg.Seed + 53)
-		g := sampleConnected(n, d, rng)
+		g := gen.MustConnectedGnp(n, d, rng)
 		// Both protocol comparisons run many trials on the same graph, so
 		// each worker reuses one engine (sweep.RunWith + one exec.Session
 		// per worker) instead of rebuilding graph-sized state per trial.
@@ -129,7 +129,7 @@ func Scorecard(cfg Config) []Check {
 		n := 1000
 		d := 2 * math.Log(float64(n))
 		rng := xrand.New(cfg.Seed + 61)
-		g := sampleConnected(n, d, rng)
+		g := gen.MustConnectedGnp(n, d, rng)
 		best, _ := lower.OptimizeSequence(g, 0, d, core.MaxRoundsFor(n), 3, rng)
 		pass := best >= 0.5*math.Log(float64(n)) && best <= float64(core.MaxRoundsFor(n))
 		add("E6", "best oblivious sequence ≥ Ω(ln n)", pass,
@@ -141,7 +141,7 @@ func Scorecard(cfg Config) []Check {
 		n := 4000
 		d := 3 * math.Log(float64(n))
 		rng := xrand.New(cfg.Seed + 71)
-		g := sampleConnected(n, d, rng)
+		g := gen.MustConnectedGnp(n, d, rng)
 		prof := structure.AnalyzeLayers(g, 0)
 		big := prof.BigLayerCount(n, d)
 		growthOK := len(prof.Layers) > 2 &&
@@ -189,7 +189,7 @@ func Scorecard(cfg Config) []Check {
 		n := 2000
 		d := 2 * math.Log(float64(n))
 		rng := xrand.New(cfg.Seed + 101)
-		g := sampleConnected(n, d, rng)
+		g := gen.MustConnectedGnp(n, d, rng)
 		lit := core.NewRestrictedPoolProtocol(n, d)
 		lit.SafetyRound = 0
 		litTime := int(trialRounds(g, lit, core.MaxRoundsFor(n), rng))
@@ -204,7 +204,7 @@ func Scorecard(cfg Config) []Check {
 		n := 400
 		d := 2 * math.Log(float64(n))
 		rng := xrand.New(cfg.Seed + 107)
-		g := sampleConnected(n, d, rng)
+		g := gen.MustConnectedGnp(n, d, rng)
 		budget := 100 * n
 		phased := gossip.Time(g, gossip.NewPhased(n, d), budget, rng.Derive(1))
 		rr := gossip.Time(g, gossip.RoundRobin{N: n}, budget, rng.Derive(2))
@@ -218,7 +218,7 @@ func Scorecard(cfg Config) []Check {
 		n := 1000
 		d := 2 * math.Log(float64(n))
 		rng := xrand.New(cfg.Seed + 109)
-		g := sampleConnected(n, d, rng)
+		g := gen.MustConnectedGnp(n, d, rng)
 		budget := 40 * core.MaxRoundsFor(n)
 		res := radio.RunCDProtocol(g, 0, protocols.NewBackoff(n), budget, rng)
 		decay := int(trialRounds(g, protocols.NewDecay(n), budget, rng.Derive(3)))
@@ -232,7 +232,7 @@ func Scorecard(cfg Config) []Check {
 		n := 400
 		d := 2 * math.Log(float64(n))
 		rng := xrand.New(cfg.Seed + 127)
-		g := sampleConnected(n, d, rng)
+		g := gen.MustConnectedGnp(n, d, rng)
 		p := pipeProtocol{1 / d}
 		budget := 200000
 		t1 := pipeline.Time(g, 0, 1, p, pipeline.RarestFirst, budget, rng.Derive(1))

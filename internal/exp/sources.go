@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/exec"
+	"repro/internal/gen"
 	"repro/internal/stats"
 	"repro/internal/table"
 	"repro/internal/xrand"
@@ -27,7 +28,7 @@ func runE18(cfg Config) []*table.Table {
 	n := map[Scale]int{Small: 1000, Medium: 8000, Full: 32000}[cfg.Scale]
 	d := 2 * math.Log(float64(n))
 	rng := xrand.New(cfg.Seed)
-	g := sampleConnected(n, d, rng)
+	g := gen.MustConnectedGnp(n, d, rng)
 	maxR := core.MaxRoundsFor(n)
 
 	// E18a: sweep many random sources with the distributed protocol.

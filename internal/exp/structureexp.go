@@ -35,7 +35,7 @@ func runE7(cfg Config) []*table.Table {
 	var out []*table.Table
 	for _, d := range []float64{1.5 * math.Log(float64(n)), 4 * math.Log(float64(n))} {
 		rng := xrand.New(cfg.Seed + uint64(d))
-		g := sampleConnected(n, d, rng)
+		g := gen.MustConnectedGnp(n, d, rng)
 		prof := structure.AnalyzeLayers(g, 0)
 		t := table.New(fmt.Sprintf("E7: layer profile, n=%d, d=%.1f", n, d),
 			"i", "|T_i|", "d^i", "intra-edges", "multi-parent", "share>1 next", "norm·d²/|T_i|")

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/exec"
+	"repro/internal/gen"
 	"repro/internal/table"
 	"repro/internal/trace"
 	"repro/internal/xrand"
@@ -62,7 +63,7 @@ func collisionParams(cfg Config) (int, float64, int, int) {
 func runCollisionTrace(cfg Config) []*table.Table {
 	n, d, trials, rowCap := collisionParams(cfg)
 	rng := xrand.New(cfg.Seed)
-	g := sampleConnected(n, d, rng.Derive(1))
+	g := gen.MustConnectedGnp(n, d, rng.Derive(1))
 	p := core.NewDistributedProtocol(n, d)
 	budget := core.MaxRoundsFor(n)
 
@@ -139,7 +140,7 @@ func runCollisionTrace(cfg Config) []*table.Table {
 func CollisionTraceRun(cfg Config, obs trace.Observer) *table.Table {
 	n, d, _, _ := collisionParams(cfg)
 	rng := xrand.New(cfg.Seed)
-	g := sampleConnected(n, d, rng.Derive(1))
+	g := gen.MustConnectedGnp(n, d, rng.Derive(1))
 	p := core.NewDistributedProtocol(n, d)
 
 	var rec trace.Recorder

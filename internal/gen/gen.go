@@ -416,6 +416,19 @@ func ConnectedGnp(n int, p float64, rng *xrand.Rand, maxTries int) (g *graph.Gra
 	return g, maxTries, false
 }
 
+// MustConnectedGnp draws a connected G(n, p) with expected degree d
+// (p = PForDegree(n, d)), retrying up to 100 times. It panics if no
+// connected sample appears: for the degree regimes experiments and
+// campaigns run, that means a misconfigured point rather than bad luck
+// (a campaign's worker pool records the panic as a failed sample).
+func MustConnectedGnp(n int, d float64, rng *xrand.Rand) *graph.Graph {
+	g, _, ok := ConnectedGnp(n, PForDegree(n, d), rng, 100)
+	if !ok {
+		panic(fmt.Sprintf("gen: no connected G(n=%d, d=%.2f) in 100 draws; degree too low", n, d))
+	}
+	return g
+}
+
 // DensifiedComplement returns G(n, 1-f): the dense regime discussed at the
 // end of §3.1, where each pair is an edge with probability 1 − f.
 func DensifiedComplement(n int, f float64, rng *xrand.Rand) *graph.Graph {

@@ -5,9 +5,9 @@
 // currently knows, and the task completes when every node knows every
 // rumor.
 //
-// Collision semantics are identical to broadcasting (package radio): a
-// listening node receives the transmission iff exactly one of its
-// neighbours transmits.
+// Collision semantics are identical to broadcasting: rounds go through
+// package radio's reception kernel, so a listening node receives the
+// transmission iff exactly one of its neighbours transmits.
 //
 // The package provides the simulation engine plus three protocols:
 //
@@ -30,6 +30,7 @@ import (
 
 	"repro/internal/bitset"
 	"repro/internal/graph"
+	"repro/internal/radio"
 	"repro/internal/trace"
 	"repro/internal/xrand"
 )
@@ -172,10 +173,7 @@ func RunObserved(g *graph.Graph, p Protocol, maxRounds int, rng *xrand.Rand, obs
 		obs.BeginRun(trace.RunInfo{N: n, M: g.M(), Sources: n, MaxRounds: maxRounds})
 	}
 	txBuf := make([]int32, 0, n)
-	transmitting := make([]bool, n)
-	hits := make([]int32, n)
-	from := make([]int32, n) // sole transmitting neighbour per receiver
-	var touched []int32
+	var rx radio.Reception
 	// Sampled-transmitter fast path: for protocols declaring uniform
 	// rounds, elig holds all n nodes (every node owns a rumor and may
 	// transmit) and each uniform round takes a Binomial(n, q) prefix of a
@@ -218,43 +216,21 @@ func RunObserved(g *graph.Graph, p Protocol, maxRounds int, rng *xrand.Rand, obs
 			}
 			txBuf = tx
 		}
-		for _, v := range tx {
-			transmitting[v] = true
-		}
-		for _, v := range tx {
-			for _, w := range g.Neighbors(v) {
-				if hits[w] == 0 {
-					touched = append(touched, w)
-				}
-				hits[w]++
-				from[w] = v
+		rx.ReceiveFrom(g, tx)
+		newlyComplete := 0
+		for i, w := range rx.Clean {
+			if counts[w] == n {
+				continue
 			}
-		}
-		successes, collisions, newlyComplete := 0, 0, 0
-		for _, w := range touched {
-			if !transmitting[w] {
-				if hits[w] == 1 {
-					successes++
-					src := from[w]
-					if counts[w] < n {
-						know[w].Union(know[src])
-						c := know[w].Count()
-						if c == n && counts[w] != n {
-							complete++
-							newlyComplete++
-						}
-						counts[w] = c
-					}
-				} else {
-					collisions++
-				}
+			know[w].Union(know[rx.Senders[i]])
+			c := know[w].Count()
+			if c == n {
+				complete++
+				newlyComplete++
 			}
-			hits[w] = 0
+			counts[w] = c
 		}
-		touched = touched[:0]
-		for _, v := range tx {
-			transmitting[v] = false
-		}
+		successes, collisions := len(rx.Clean), len(rx.Collided)
 		rec := trace.RoundRecord{
 			Round:         round,
 			Transmitters:  len(tx),

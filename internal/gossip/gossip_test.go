@@ -218,8 +218,19 @@ func (s scriptedGossip) Transmit(v int32, round int, rng *xrand.Rand) bool {
 	return false
 }
 
+// denseRound reports whether the reception kernel classifies the round
+// by its dense branch (2·visits >= n) rather than its sparse one.
+func denseRound(g *graph.Graph, tx []int32) bool {
+	visits := 0
+	for _, v := range tx {
+		visits += g.Degree(v)
+	}
+	return 2*visits >= g.N()
+}
+
 func TestGossipMatchesReferenceImplementation(t *testing.T) {
 	rng := xrand.New(99)
+	branches := map[bool]int{}
 	for trial := 0; trial < 15; trial++ {
 		n := 5 + rng.Intn(25)
 		g := gen.Gnp(n, 0.3, rng)
@@ -228,6 +239,7 @@ func TestGossipMatchesReferenceImplementation(t *testing.T) {
 		script := make([][]int32, rounds)
 		for r := range script {
 			script[r] = rng.Sample(n, 1+rng.Intn(n))
+			branches[denseRound(g, script[r])]++
 		}
 		res := Run(g, scriptedGossip{script}, rounds, xrand.New(1))
 
@@ -258,6 +270,9 @@ func TestGossipMatchesReferenceImplementation(t *testing.T) {
 			t.Fatalf("trial %d: engine (total=%d min=%d) != reference (total=%d min=%d)",
 				trial, res.KnownTotal, res.MinKnown, wantTotal, wantMin)
 		}
+	}
+	if branches[true] == 0 || branches[false] == 0 {
+		t.Fatalf("scripted rounds by dense branch: %v, want both branches", branches)
 	}
 }
 

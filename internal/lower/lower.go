@@ -47,7 +47,9 @@ func Eccentricity(g *graph.Graph, src int32) int {
 // repeatedly adds the informed node with the highest positive marginal
 // gain in newly informed nodes (accounting for the collisions each
 // addition introduces) until no addition helps. The returned value is the
-// number of rounds to full broadcast, along with the schedule itself.
+// number of rounds to full broadcast, along with the schedule itself. If
+// no informed node has an uninformed neighbour, g is disconnected from
+// src: the adversary stops there with Completed = false.
 //
 // The greedy gain computation makes this O(rounds · informed · deg²) in
 // the worst case; intended for the small-to-medium instances of E3.
@@ -55,87 +57,53 @@ func GreedyAdaptiveSchedule(g *graph.Graph, src int32, maxRounds int) (*radio.Sc
 	e := radio.NewEngine(g, src, radio.StrictInformed)
 	sched := &radio.Schedule{}
 	n := g.N()
-	hits := make([]int32, n) // current transmit set's neighbour counts
-	var touched []int32
-	var frontier []int32 // reused buffer for the full-frontier fallback
+	var rx radio.Reception // hit counts of the set under construction
 	for !e.Done() && e.RoundCount() < maxRounds {
-		// Build this round's set greedily.
+		// Build this round's set greedily. A member of the set has gain
+		// <= 0 (each of its uninformed neighbours already hears it), and
+		// informed nodes, the set among them, do not count as receivers.
 		var set []int32
-		inSet := make(map[int32]bool)
 		for {
 			var best int32 = -1
 			bestGain := 0
-			for v := 0; v < n; v++ {
-				vv := int32(v)
-				if !e.Informed(vv) || inSet[vv] {
+			for v := int32(0); v < int32(n); v++ {
+				if !e.Informed(v) {
 					continue
 				}
 				gain := 0
-				for _, w := range g.Neighbors(vv) {
-					if e.Informed(w) || inSet[w] {
-						continue // already informed, or will transmit (cannot listen)
+				for _, w := range g.Neighbors(v) {
+					if e.Informed(w) {
+						continue
 					}
-					switch hits[w] {
+					switch rx.Hits(w) {
 					case 0:
 						gain++
 					case 1:
 						gain--
 					}
 				}
-				// Losing a currently-clean receiver because it joins the
-				// transmit set is impossible here since we only consider
-				// informed candidates and receivers are uninformed.
 				if gain > bestGain {
-					best, bestGain = vv, gain
+					best, bestGain = v, gain
 				}
 			}
 			if best < 0 {
 				break
 			}
-			inSet[best] = true
 			set = append(set, best)
-			for _, w := range g.Neighbors(best) {
-				if hits[w] == 0 {
-					touched = append(touched, w)
-				}
-				hits[w]++
-			}
+			rx.Add(g, best)
 		}
-		// Reset scratch.
-		for _, w := range touched {
-			hits[w] = 0
-		}
-		touched = touched[:0]
+		rx.Clear()
 		if len(set) == 0 {
-			// No positive-gain transmitter: every uninformed node adjacent
-			// to the informed set has >= 2 informed neighbours whichever
-			// single node we pick... transmit the single best anyway to
-			// guarantee progress? A singleton always has non-negative
-			// gain; gain 0 means its uninformed neighbours are each
-			// adjacent to it alone yet gain computed 0 — impossible unless
-			// no uninformed neighbours exist anywhere. Pick any informed
-			// node with an uninformed neighbour two hops away cannot help
-			// this round; transmit the full frontier to make the engine
-			// advance the round.
-			frontier = e.AppendInformed(frontier[:0])
-			set = frontier
+			// Any informed node with an uninformed neighbour has positive
+			// gain, so none exists: g is disconnected from src.
+			break
 		}
-		owned := make([]int32, len(set))
-		copy(owned, set)
-		sched.Sets = append(sched.Sets, owned)
-		if _, err := e.Round(owned); err != nil {
+		sched.Sets = append(sched.Sets, set)
+		if _, err := e.Round(set); err != nil {
 			return nil, radio.Result{}, err
 		}
 	}
-	res := radio.Result{
-		Completed:  e.Done(),
-		Rounds:     e.RoundCount(),
-		Informed:   e.InformedCount(),
-		N:          n,
-		InformedAt: e.InformedTimes(),
-		Stats:      e.Stats(),
-	}
-	return sched, res, nil
+	return sched, e.Result(), nil
 }
 
 // SurvivorProbe Monte-Carlos the counting core of the Theorem 6 proof at

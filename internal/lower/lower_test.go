@@ -60,6 +60,28 @@ func TestGreedyAdaptiveCompletesAndIsValid(t *testing.T) {
 	}
 }
 
+// TestGreedyAdaptiveStopsWhenDisconnected: once the source's component is
+// informed no set can inform anyone, so the adversary stops incomplete
+// instead of padding the schedule with rounds that inform nobody.
+func TestGreedyAdaptiveStopsWhenDisconnected(t *testing.T) {
+	// Two components: the path 0-1-2-3 and the edge 4-5.
+	g := graph.FromEdges(6, [][2]int32{{0, 1}, {1, 2}, {2, 3}, {4, 5}})
+	sched, res, err := GreedyAdaptiveSchedule(g, 0, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Completed || res.Informed != 4 || res.Rounds != len(sched.Sets) {
+		t.Fatalf("result %+v over %d scheduled rounds, want 4 informed and incomplete", res, len(sched.Sets))
+	}
+	e := radio.NewEngine(g, 0, radio.StrictInformed)
+	for i, set := range sched.Sets {
+		newly, err := e.Round(set)
+		if err != nil || len(newly) == 0 {
+			t.Fatalf("round %d (%v) informs %v, err %v", i+1, set, newly, err)
+		}
+	}
+}
+
 func TestGreedyAdaptiveRespectsEccentricity(t *testing.T) {
 	g := connected(t, 500, 10, 2)
 	ecc := Eccentricity(g, 0)

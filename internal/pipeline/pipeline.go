@@ -15,6 +15,7 @@ package pipeline
 import (
 	"repro/internal/bitset"
 	"repro/internal/graph"
+	"repro/internal/radio"
 	"repro/internal/xrand"
 )
 
@@ -102,15 +103,9 @@ func Run(g *graph.Graph, src int32, k int, p Protocol, sel Selection, maxRounds 
 	}
 
 	// Per-round scratch.
-	hits := make([]int32, n)
-	from := make([]int32, n)
-	var touched []int32
+	var rx radio.Reception
 	var tx []int32
-	carrying := make([]int32, n)    // message carried by transmitter v this round
-	transmitting := make([]bool, n) // tx membership, cleared after each round
-
-	globalKnown := make([]int, k)
-	copy(globalKnown, completeCount)
+	carrying := make([]int32, n) // message carried by transmitter v this round
 
 	round := 0
 	for round < maxRounds && done < k {
@@ -126,43 +121,25 @@ func Run(g *graph.Graph, src int32, k int, p Protocol, sel Selection, maxRounds 
 		}
 		// Choose each transmitter's message.
 		for _, v := range tx {
-			carrying[v] = chooseMessage(know[v], counts[v], k, int(v), round, sel, globalKnown, rng)
+			carrying[v] = chooseMessage(know[v], counts[v], int(v), round, sel, completeCount, rng)
 		}
-		for _, v := range tx {
-			transmitting[v] = true
-		}
-		for _, v := range tx {
-			for _, w := range g.Neighbors(v) {
-				if hits[w] == 0 {
-					touched = append(touched, w)
-				}
-				hits[w]++
-				from[w] = v
+		rx.ReceiveFrom(g, tx)
+		for i, w := range rx.Clean {
+			m := carrying[rx.Senders[i]]
+			if know[w].Test(int(m)) {
+				continue
 			}
-		}
-		for _, w := range touched {
-			if hits[w] == 1 && !transmitting[w] {
-				m := carrying[from[w]]
-				if !know[w].Test(int(m)) {
-					know[w].Set(int(m))
-					counts[w]++
-					res.Delivered++
-					if counts[w] == 1 {
-						informedAt[w] = int32(round)
-					}
-					completeCount[m]++
-					globalKnown[m]++
-					if completeCount[m] == n {
-						res.FirstComplete[m] = round
-						done++
-					}
-				}
+			know[w].Set(int(m))
+			counts[w]++
+			res.Delivered++
+			if counts[w] == 1 {
+				informedAt[w] = int32(round)
 			}
-			hits[w] = 0
-		}
-		touched = touched[:0]
-		for _, v := range tx {
-			transmitting[v] = false
+			completeCount[m]++
+			if completeCount[m] == n {
+				res.FirstComplete[m] = round
+				done++
+			}
 		}
 	}
 	res.Completed = done == k
@@ -172,7 +149,7 @@ func Run(g *graph.Graph, src int32, k int, p Protocol, sel Selection, maxRounds 
 
 // chooseMessage implements the selection policies over the sender's known
 // set.
-func chooseMessage(known *bitset.Set, count, k, v, round int, sel Selection, globalKnown []int, rng *xrand.Rand) int32 {
+func chooseMessage(known *bitset.Set, count, v, round int, sel Selection, globalKnown []int, rng *xrand.Rand) int32 {
 	switch sel {
 	case RandomMsg:
 		idx := rng.Intn(count)

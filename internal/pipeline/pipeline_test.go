@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -178,5 +179,129 @@ func BenchmarkPipeline(b *testing.B) {
 		if !res.Completed {
 			b.Fatal("incomplete")
 		}
+	}
+}
+
+// scripted transmits according to a precomputed per-round set (only
+// informed nodes are asked).
+type scripted struct{ rounds [][]int32 }
+
+func (s scripted) Transmit(v int32, round int, informedAt int32, rng *xrand.Rand) bool {
+	return round-1 < len(s.rounds) && slices.Contains(s.rounds[round-1], v)
+}
+
+// referencePipeline replays a scripted k-broadcast naively: every
+// informed script member transmits one message picked by sel (drawing
+// from rng in index order, as Run does), and each listener counts its
+// transmitting neighbours with HasEdge. It also tallies the scripted
+// rounds by reception-kernel branch (2·visits >= n is dense).
+func referencePipeline(g *graph.Graph, src int32, k int, script [][]int32, sel Selection, rng *xrand.Rand, branches map[bool]int) Result {
+	n := g.N()
+	know := make([][]bool, n)
+	for v := range know {
+		know[v] = make([]bool, k)
+	}
+	holders := make([]int, k) // nodes knowing each message
+	res := Result{FirstComplete: make([]int, k)}
+	for m := range holders {
+		know[src][m] = true
+		holders[m] = 1
+		res.FirstComplete[m] = -1
+	}
+	done := 0
+	for round := 1; round <= len(script) && done < k; round++ {
+		res.Rounds = round
+		var tx []int32
+		carry := map[int32]int{}
+		visits := 0
+		for v := int32(0); v < int32(n); v++ {
+			var known []int
+			for m, has := range know[v] {
+				if has {
+					known = append(known, m)
+				}
+			}
+			if len(known) == 0 || !slices.Contains(script[round-1], v) {
+				continue
+			}
+			tx = append(tx, v)
+			visits += g.Degree(v)
+			switch sel {
+			case RandomMsg:
+				carry[v] = known[rng.Intn(len(known))]
+			case RarestFirst:
+				best := known[0]
+				for _, m := range known {
+					if holders[m] < holders[best] {
+						best = m
+					}
+				}
+				carry[v] = best
+			default:
+				carry[v] = known[(round+int(v))%len(known)]
+			}
+		}
+		branches[2*visits >= n]++
+		type delivery struct {
+			w int32
+			m int
+		}
+		var got []delivery
+		for w := int32(0); w < int32(n); w++ {
+			if slices.Contains(tx, w) {
+				continue
+			}
+			count, sender := 0, int32(-1)
+			for _, v := range tx {
+				if g.HasEdge(v, w) {
+					count++
+					sender = v
+				}
+			}
+			if count == 1 {
+				got = append(got, delivery{w, carry[sender]})
+			}
+		}
+		for _, d := range got {
+			if know[d.w][d.m] {
+				continue
+			}
+			know[d.w][d.m] = true
+			res.Delivered++
+			holders[d.m]++
+			if holders[d.m] == n {
+				res.FirstComplete[d.m] = round
+				done++
+			}
+		}
+	}
+	res.Completed = done == k
+	return res
+}
+
+func TestPipelineMatchesReferenceImplementation(t *testing.T) {
+	rng := xrand.New(77)
+	branches := map[bool]int{}
+	for trial := 0; trial < 20; trial++ {
+		n := 5 + rng.Intn(35)
+		g := gen.Gnp(n, 0.3, rng)
+		src := int32(rng.Intn(n))
+		k := 1 + rng.Intn(4)
+		script := make([][]int32, 60)
+		for r := range script {
+			script[r] = rng.Sample(n, 1+rng.Intn(1+n/3))
+		}
+		for _, sel := range []Selection{RoundRobinMsg, RandomMsg, RarestFirst} {
+			seed := uint64(trial)
+			got := Run(g, src, k, scripted{script}, sel, len(script), xrand.New(seed))
+			want := referencePipeline(g, src, k, script, sel, xrand.New(seed), branches)
+			if got.Completed != want.Completed || got.Rounds != want.Rounds || got.Delivered != want.Delivered ||
+				!slices.Equal(got.FirstComplete, want.FirstComplete) {
+				t.Fatalf("trial %d %v: Run = %+v, reference = %+v", trial, sel, got, want)
+			}
+		}
+	}
+	if branches[true] == 0 || branches[false] == 0 {
+		t.Fatalf("scripted rounds by dense branch: %v, want both branches", branches)
 	}
 }

@@ -20,6 +20,9 @@
 // from its current state; internal/exec owns engine lifecycle (reset,
 // reuse, pooling) and turns a driven engine into a Result or a completion
 // round, so trials run through exec rather than through this package.
+// Every round, the engine's and those of the other packages that simulate
+// the model (gossip, pipeline, the schedule compressor, the greedy
+// adversary), classifies its listeners through one kernel, Reception.
 package radio
 
 import (
@@ -79,17 +82,15 @@ type Engine struct {
 	informed []bool
 	// informedAt[v] is the round in which v was informed (0 for the
 	// source), or NotInformed.
-	informedAt  []int32
-	numInformed int
-	// hits counts transmitting neighbours this round, saturating at 2:
-	// delivery classification only distinguishes 0 / exactly 1 / >=2, and a
-	// byte array keeps the randomly-accessed working set 4x smaller than
-	// int32 counters (the engine's round loop is memory-bound on it).
-	hits         []uint8
-	touched      []int32 // vertices with nonzero hits, for O(deg) reset (sparse rounds)
+	informedAt   []int32
+	numInformed  int
+	rx           Reception // the round's listener classification
 	transmitting []bool
-	txList       []int32
-	round        int
+	// txList is the current round's effective (policy-filtered,
+	// deduplicated) transmitter set; it stays readable after the round
+	// until the next one starts.
+	txList []int32
+	round  int
 	// counters is the engine's accounting, fed one trace.RoundRecord per
 	// round by the same code path that notifies obs; Stats() reads from it.
 	counters trace.Counters
@@ -115,11 +116,6 @@ type Engine struct {
 	eligCohort   []int32 // informed nodes with informedAt <= eligCutoff
 	eligCutoff   int32
 	eligCohortOK bool
-	// Scratch for RoundWithFeedback (allocated lazily).
-	cdHits    []int32
-	cdMark    []bool
-	cdTx      []int32
-	cdTouched []int32
 	// Result-buffer reuse (see SetResultReuse): when on, Result fills
 	// Result.InformedAt from resultBuf instead of a fresh per-run copy.
 	reuseResult bool
@@ -139,7 +135,6 @@ func NewEngine(g *graph.Graph, src int32, policy TransmitterPolicy) *Engine {
 		policy:       policy,
 		informed:     make([]bool, n),
 		informedAt:   make([]int32, n),
-		hits:         make([]uint8, n),
 		transmitting: make([]bool, n),
 	}
 	for i := range e.informedAt {
@@ -173,13 +168,6 @@ func (e *Engine) Reset() {
 	// Eligible lists describe a run that is over; the next protocol run
 	// rebuilds them from the informed set.
 	e.eligAllOK, e.eligCohortOK = false, false
-	// Per-round scratch is empty after any completed or failed Round, but
-	// clear it anyway so Reset restores a pristine engine unconditionally.
-	for _, w := range e.touched {
-		e.hits[w] = 0
-	}
-	e.touched = e.touched[:0]
-	e.clearTransmitMarks()
 }
 
 // ResetFor is Reset with a different broadcast source, so one engine can
@@ -349,6 +337,7 @@ func (e *Engine) Round(transmitters []int32) ([]int32, error) {
 			e.txList = append(e.txList, v)
 		}
 	}
+	e.clearTransmitMarks()
 	e.round++
 	if e.txObs != nil {
 		// The round is committed; hand the effective (policy-filtered,
@@ -358,88 +347,25 @@ func (e *Engine) Round(transmitters []int32) ([]int32, error) {
 		e.txObs.RoundTransmitters(e.round, e.txList)
 	}
 
-	// The exact neighbour-visit count picks the classification strategy:
-	// dense rounds (visits >= n/2) skip the touched-list bookkeeping in the
-	// counting loop and classify by a cache-friendly linear scan over all
-	// nodes; sparse rounds keep the O(visits) touched list so tiny rounds
-	// never pay an O(n) pass. Both strategies produce identical informed
-	// sets and counters (the newly-informed list order differs — visit
-	// order vs index order — which no caller observes).
-	n := e.g.N()
-	visits := 0
-	for _, v := range e.txList {
-		visits += len(e.g.Neighbors(v))
-	}
+	// Every clean receiver counts as a delivery; the uninformed ones
+	// become informed, in the kernel's order (the protocol runner's
+	// eligible lists append them, so the order is part of the stream).
+	e.rx.Receive(e.g, e.txList)
 	e.newly = e.newly[:0]
-	successes, collisions := 0, 0
-	if 2*visits >= n {
-		hits := e.hits
-		for _, v := range e.txList {
-			for _, w := range e.g.Neighbors(v) {
-				if hits[w] < 2 {
-					hits[w]++
-				}
-			}
-		}
-		// Transmitting nodes do not listen: zero their counters up front so
-		// the classify scan treats them as untouched and never needs to
-		// read the transmitting marks (one fewer byte stream per scan).
-		for _, v := range e.txList {
-			hits[v] = 0
-		}
-		informed := e.informed
-		for w, h := range hits {
-			if h == 0 {
-				continue
-			}
-			hits[w] = 0
-			if h == 1 {
-				successes++
-				if !informed[w] {
-					informed[w] = true
-					e.informedAt[w] = int32(e.round)
-					e.numInformed++
-					e.newly = append(e.newly, int32(w))
-				}
-			} else {
-				collisions++
-			}
-		}
-	} else {
-		// Count transmitting neighbours of every node touched.
-		for _, v := range e.txList {
-			for _, w := range e.g.Neighbors(v) {
-				if e.hits[w] == 0 {
-					e.touched = append(e.touched, w)
-				}
-				if e.hits[w] < 2 {
-					e.hits[w]++
-				}
-			}
-		}
-		// Deliveries: listening nodes with exactly one transmitting
-		// neighbour.
-		for _, w := range e.touched {
-			if e.transmitting[w] {
-				continue // transmitting node does not listen
-			}
-			if e.hits[w] == 1 {
-				successes++
-				if !e.informed[w] {
-					e.informed[w] = true
-					e.informedAt[w] = int32(e.round)
-					e.numInformed++
-					e.newly = append(e.newly, w)
-				}
-			} else {
-				collisions++
-			}
+	informed, informedAt, round := e.informed, e.informedAt, int32(e.round)
+	for _, w := range e.rx.Clean {
+		if !informed[w] {
+			informed[w] = true
+			informedAt[w] = round
+			e.newly = append(e.newly, w)
 		}
 	}
+	e.numInformed += len(e.newly)
 
 	// Account the round and notify the observer through the same record,
 	// so Stats() and observer totals are definitionally consistent. Every
 	// node transmits, cleanly receives, collides, or hears silence.
+	successes, collisions := len(e.rx.Clean), len(e.rx.Collided)
 	rec := trace.RoundRecord{
 		Round:         e.round,
 		Transmitters:  len(e.txList),
@@ -453,13 +379,6 @@ func (e *Engine) Round(transmitters []int32) ([]int32, error) {
 	if e.obs != nil {
 		e.obs.Round(rec)
 	}
-
-	// Reset per-round scratch.
-	for _, w := range e.touched {
-		e.hits[w] = 0
-	}
-	e.touched = e.touched[:0]
-	e.clearTransmitMarks()
 	return e.newly, nil
 }
 
@@ -493,11 +412,12 @@ func (e *Engine) observeEnd() {
 	})
 }
 
+// clearTransmitMarks clears the deduplication marks of txList, keeping
+// the list itself.
 func (e *Engine) clearTransmitMarks() {
 	for _, v := range e.txList {
 		e.transmitting[v] = false
 	}
-	e.txList = e.txList[:0]
 }
 
 // Schedule is an explicit centralized broadcast schedule: Sets[t] is the
