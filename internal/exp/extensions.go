@@ -11,6 +11,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/gossip"
 	"repro/internal/lower"
+	"repro/internal/radio"
 	"repro/internal/stats"
 	"repro/internal/sweep"
 	"repro/internal/table"
@@ -48,7 +49,7 @@ func runE13(cfg Config) []*table.Table {
 	for i, n := range ns {
 		d := 2 * math.Log(float64(n))
 		budget := 50*n + 100000
-		mk := func(p gossip.Protocol, off uint64) float64 {
+		mk := func(p radio.Protocol, off uint64) float64 {
 			samples := sweep.Run(trials, cfg.Seed+uint64(i)*1009+off, func(rng *xrand.Rand) float64 {
 				g := gen.MustConnectedGnp(n, d, rng)
 				return float64(gossip.Time(g, p, budget, rng))

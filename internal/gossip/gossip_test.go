@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/radio"
 	"repro/internal/trace"
 	"repro/internal/xrand"
 )
@@ -206,7 +207,7 @@ func referenceGossipRound(g *graph.Graph, know [][]bool, tx []int32) [][]bool {
 // scriptedGossip transmits according to a precomputed per-round set.
 type scriptedGossip struct{ rounds [][]int32 }
 
-func (s scriptedGossip) Transmit(v int32, round int, rng *xrand.Rand) bool {
+func (s scriptedGossip) Transmit(v int32, round int, informedAt int32, rng *xrand.Rand) bool {
 	if round-1 >= len(s.rounds) {
 		return false
 	}
@@ -332,11 +333,11 @@ func TestGossipDeterministic(t *testing.T) {
 	const n = 200
 	d := 2 * math.Log(n)
 	g := connected(t, n, d, 11)
-	protocols := map[string]Protocol{
+	protocols := map[string]radio.Protocol{
 		"round-robin": RoundRobin{N: n},  // deterministic per-node path
 		"uniform":     Uniform{Q: 1 / d}, // sampled fast path
 		"phased":      NewPhased(n, d),   // sampled fast path, two regimes
-		"per-node": ProtocolFunc(func(v int32, round int, rng *xrand.Rand) bool {
+		"per-node": radio.ProtocolFunc(func(v int32, round int, informedAt int32, rng *xrand.Rand) bool {
 			return rng.Bernoulli(1 / d) // forced per-node path
 		}),
 	}
@@ -373,7 +374,7 @@ func TestGossipSampledMatchesPerNodeDistribution(t *testing.T) {
 	sampled := make([]int, trials)
 	perNode := make([]int, trials)
 	p := NewPhased(n, d)
-	forced := ProtocolFunc(p.Transmit) // hides RoundProb: per-node path
+	forced := radio.ProtocolFunc(p.Transmit) // hides RoundProb: per-node path
 	for i := 0; i < trials; i++ {
 		sampled[i] = Time(g, p, 100000, xrand.New(uint64(1000+i)))
 		perNode[i] = Time(g, forced, 100000, xrand.New(uint64(2000+i)))

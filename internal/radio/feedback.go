@@ -86,7 +86,8 @@ func (e *Engine) RoundWithFeedback(transmitters []int32, fb []Feedback) ([]int32
 // RunCDProtocol simulates a CD-model protocol from src on a fresh engine
 // over g for at most maxRounds rounds, stopping early on completion. The
 // CD model is not an internal/exec backend yet, so it keeps this one
-// self-contained runner.
+// self-contained runner; its per-node decisions go through a Chooser
+// with a ProtocolFunc that hands each node its previous observation.
 func RunCDProtocol(g *graph.Graph, src int32, p FeedbackProtocol, maxRounds int, rng *xrand.Rand) Result {
 	e := NewEngine(g, src, StrictInformed)
 	n := g.N()
@@ -95,19 +96,12 @@ func RunCDProtocol(g *graph.Graph, src int32, p FeedbackProtocol, maxRounds int,
 		fb[i] = FeedbackSilence
 	}
 	next := make([]Feedback, n)
-	var tx []int32
+	var ch Chooser
+	ch.Begin(ProtocolFunc(func(v int32, round int, informedAt int32, rng *xrand.Rand) bool {
+		return p.TransmitCD(v, round, informedAt, fb[v], rng)
+	}))
 	for e.round < maxRounds && !e.Done() {
-		tx = tx[:0]
-		round := e.round + 1
-		for v, inf := range e.informed {
-			if !inf {
-				continue
-			}
-			if p.TransmitCD(int32(v), round, e.informedAt[v], fb[v], rng) {
-				tx = append(tx, int32(v))
-			}
-		}
-		if _, err := e.RoundWithFeedback(tx, next); err != nil {
+		if _, err := e.RoundWithFeedback(ch.Choose(e.round+1, e.informedAt, rng), next); err != nil {
 			panic(err) // only informed nodes are offered
 		}
 		fb, next = next, fb

@@ -96,17 +96,17 @@ func TestSampleTransmittersCohortSubset(t *testing.T) {
 	p := uniformTest{Flood: 6, Q: 0.1}
 	seen := make(map[int32]bool)
 	for round := 1; round <= 6; round++ {
-		tx := e.sampleTransmitters(1, AllInformed, rng)
+		tx := e.chooser.sample(1, AllInformed, e.informedAt, rng)
 		if _, err := e.Round(tx); err != nil {
 			t.Fatal(err)
 		}
-		e.appendEligible(e.newly)
+		e.chooser.Informed(e.round, e.newly)
 	}
 	_ = p
 	for _, co := range cohorts {
 		for _, q := range []float64{0.01, 0.1, 0.5, 0.9} {
 			for trial := 0; trial < 50; trial++ {
-				tx := e.sampleTransmitters(q, co.c, rng)
+				tx := e.chooser.sample(q, co.c, e.informedAt, rng)
 				for k := range seen {
 					delete(seen, k)
 				}
@@ -132,7 +132,7 @@ func TestSampleTransmittersCohortSubset(t *testing.T) {
 					want++
 				}
 			}
-			if got := len(e.eligible(co.c)); got != want {
+			if got := len(e.chooser.eligible(co.c, e.informedAt)); got != want {
 				t.Fatalf("%s: eligible list has %d members, cohort has %d", co.name, got, want)
 			}
 		}
