@@ -1,5 +1,6 @@
 #!/bin/sh
-# archlint: enforce the execution-layer boundary (DESIGN.md section 10).
+# archlint: enforce the execution-layer boundary (DESIGN.md section 10)
+# and the single transmitter chooser (DESIGN.md section 5).
 #
 # Engine construction — lanes.NewEngine, radio.NewEngine,
 # radio.NewEngineMulti, repro.NewEngine — is the unified execution
@@ -21,6 +22,12 @@
 #     informed-set tracker while they construct a schedule round by
 #     round, not as a trial runner (lower's searches hand their one
 #     engine to exec through Request.Engine to run their trials)
+#
+# The sampled transmit-set draw — Binomial count, then PartialShuffle
+# over an eligible list — is radio.Chooser's job. The script also fails
+# if any non-test file outside internal/radio and internal/xrand (which
+# defines PartialShuffle) calls PartialShuffle, so simulators draw their
+# transmit sets through the chooser instead of a copy of it.
 
 set -eu
 cd "$(dirname "$0")/.."
@@ -46,7 +53,15 @@ scan "internal/campaign" internal/campaign || fail=1
 scan "internal/serve" internal/serve || fail=1
 scan "internal/cluster" internal/cluster || fail=1
 
+sampler=$(grep -rnE --include='*.go' --exclude='*_test.go' 'PartialShuffle\(' . |
+	grep -vE '^\./internal/(radio|xrand)/' || true)
+if [ -n "$sampler" ]; then
+	printf '%s\n' "$sampler"
+	echo "archlint: only internal/radio may call PartialShuffle; draw transmit sets through radio.Chooser" >&2
+	fail=1
+fi
+
 if [ "$fail" -ne 0 ]; then
 	exit 1
 fi
-echo "archlint: ok (no engine construction outside internal/exec)"
+echo "archlint: ok (no engine construction outside internal/exec, no transmit-set sampler outside internal/radio)"
