@@ -78,7 +78,7 @@ var smallDigests = map[string]string{
 	"E17": "c4f367f3be41db4b8ef9f65a9c28570ce1437c805b9c1b4e49c3fbecae280809",
 	"E18": "bed31b2021cedb65e2d5e454215545bee69f8973f93088728fe6e94d9ca59c30",
 	"E19": "b157c03e3e781d5e163a468252ce58fdcb6fc6213c83625bee1d9d70a80dd70c",
-	"E20": "659059e98dbb6d38beec0ec66a75d017eaf772954d3a9b0405f060be040467e5",
+	"E20": "05eb59f86ec1535842b27356738f9ab2b1d6cef9db15be3521ea516c438ccd32",
 	"E21": "0d8ba4dc200dd9e1d9c8577a1c85a79a0525d0906fb28d837c4678886008ca0b",
 	"E22": "781fbfb0bd354fa01af466341cc9f3073113ea2304c4885445c3ce8a28f0fb7e",
 	"E23": "404591eb3da428ccdead96f68b8ef960bebcce55ac23004550f6548f765fdb44",

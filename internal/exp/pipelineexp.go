@@ -23,17 +23,6 @@ func init() {
 	})
 }
 
-// pipeProtocol is the 1/d-selective protocol with a short flood prefix,
-// shared by all E20 rows.
-type pipeProtocol struct{ q float64 }
-
-func (p pipeProtocol) Transmit(v int32, round int, informedAt int32, rng *xrand.Rand) bool {
-	if round <= 3 {
-		return true
-	}
-	return rng.Bernoulli(p.q)
-}
-
 func runE20(cfg Config) []*table.Table {
 	trials := cfg.trials(3)
 	n := map[Scale]int{Small: 500, Medium: 4000, Full: 16000}[cfg.Scale]
@@ -49,7 +38,7 @@ func runE20(cfg Config) []*table.Table {
 		k := k
 		medFor := func(sel pipeline.Selection, off uint64) float64 {
 			samples := sweep.Run(trials, cfg.Seed+uint64(i)*1801+off, func(r *xrand.Rand) float64 {
-				return float64(pipeline.Time(g, 0, k, pipeProtocol{1 / d}, sel, budget, r))
+				return float64(pipeline.Time(g, 0, k, pipeline.NewPhased(d), sel, budget, r))
 			})
 			return stats.Median(samples)
 		}

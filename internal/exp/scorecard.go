@@ -233,7 +233,7 @@ func Scorecard(cfg Config) []Check {
 		d := 2 * math.Log(float64(n))
 		rng := xrand.New(cfg.Seed + 127)
 		g := gen.MustConnectedGnp(n, d, rng)
-		p := pipeProtocol{1 / d}
+		p := pipeline.NewPhased(d)
 		budget := 200000
 		t1 := pipeline.Time(g, 0, 1, p, pipeline.RarestFirst, budget, rng.Derive(1))
 		t8 := pipeline.Time(g, 0, 8, p, pipeline.RarestFirst, budget, rng.Derive(2))

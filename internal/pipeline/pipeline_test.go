@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/radio"
 	"repro/internal/xrand"
 )
 
@@ -165,6 +166,38 @@ func TestRarestFirstNoWorseThanRandom(t *testing.T) {
 	random := med(RandomMsg)
 	if rare > 2*random {
 		t.Fatalf("genie-aided rarest-first (%d) much worse than random (%d)", rare, random)
+	}
+}
+
+// TestPipelineSampledMatchesPerNodeDistribution: Phased's sampled
+// transmit sets must complete k-broadcast in a similar number of rounds
+// as the per-node path, under every Selection — a coarse distributional
+// check (the exact per-seed values differ by design; the medians must
+// not).
+func TestPipelineSampledMatchesPerNodeDistribution(t *testing.T) {
+	const n, k, trials, budget = 300, 4, 31, 200000
+	d := 2 * math.Log(n)
+	g := connected(t, n, d, 13)
+	p := NewPhased(d)
+	forced := radio.ProtocolFunc(p.Transmit) // hides RoundProb: per-node path
+	for _, sel := range []Selection{RoundRobinMsg, RandomMsg, RarestFirst} {
+		sampled := make([]int, trials)
+		perNode := make([]int, trials)
+		for i := range sampled {
+			sampled[i] = Time(g, 0, k, p, sel, budget, xrand.New(uint64(1000+i)))
+			perNode[i] = Time(g, 0, k, forced, sel, budget, xrand.New(uint64(2000+i)))
+		}
+		slices.Sort(sampled)
+		slices.Sort(perNode)
+		ms, mp := sampled[trials/2], perNode[trials/2]
+		if ms > budget || mp > budget {
+			t.Fatalf("%v: incomplete runs: sampled median %d, per-node median %d", sel, ms, mp)
+		}
+		// Wide tolerance: the point is catching a wrong-by-construction
+		// sampler (a stale eligible list, a wrong cohort), not power.
+		if lo, hi := mp/2, mp*2; ms < lo || ms > hi {
+			t.Fatalf("%v: sampled median %d outside [%d, %d] around per-node median %d", sel, ms, lo, hi, mp)
+		}
 	}
 }
 
