@@ -47,7 +47,7 @@
 // Protocols whose rounds are uniform (every eligible node transmits with
 // the same probability q — the paper's Theorem 7 protocol, Decay, ALOHA)
 // declare that through the radio.UniformProtocol capability, and the
-// engine then draws the whole transmitter set at once: k ~ Binomial(m, q)
+// transmitter chooser then draws the whole transmitter set at once: k ~ Binomial(m, q)
 // followed by a k-element partial shuffle of the m eligible nodes, O(k)
 // instead of one Bernoulli draw per informed node. The transmitter-set
 // distribution is identical, but the stream of rng draws is not, so
@@ -56,8 +56,10 @@
 // Who uses which stream:
 //
 //   - Run (and RunProtocolOn, BroadcastTime, BroadcastTimeOn, the gossip
-//     runners) default to the sampled fast path; opt out per call with
-//     WithPerNodeSampling, or per engine with Engine.SetPerNodeSampling.
+//     and pipeline runners Gossip, GossipWith and KBroadcast) default to
+//     the sampled fast path; opt out per call with WithPerNodeSampling,
+//     per engine with Engine.SetPerNodeSampling, or for gossip and
+//     pipeline by wrapping the protocol's Transmit in a ProtocolFunc.
 //     The per-node stream is bit-for-bit stable across releases.
 //   - Schedule replay (WithSchedule, ExecuteScheduleOn) and BuildSchedule
 //     take no per-round randomness from the engine and are unaffected.
