@@ -8,6 +8,9 @@
 //   - Flood — every informed node transmits every round; on radio networks
 //     this deadlocks as soon as two neighbours of an uninformed node are
 //     informed (kept as a cautionary baseline).
+//   - Phased — a short flood, then ALOHA: the shape of the paper's
+//     distributed protocol that the gossip and k-broadcast extensions
+//     use (see gossip.NewPhased and pipeline.NewPhased).
 //   - RoundRobin — deterministic ID-based time division: node v transmits
 //     in rounds ≡ v (mod n); collision-free but Θ(n·D) rounds.
 //
@@ -94,6 +97,30 @@ func (Flood) RoundProb(round int) (float64, radio.Cohort, bool) {
 	return 1, radio.AllInformed, true
 }
 
+// Phased transmits deterministically in rounds 1..FloodRounds and with
+// probability Q in every later round.
+type Phased struct {
+	FloodRounds int
+	Q           float64
+}
+
+// Transmit implements radio.Protocol.
+func (p Phased) Transmit(v int32, round int, informedAt int32, rng *xrand.Rand) bool {
+	if round <= p.FloodRounds {
+		return true
+	}
+	return rng.Bernoulli(p.Q)
+}
+
+// RoundProb implements radio.UniformProtocol: flood rounds are uniform
+// over all informed nodes at 1, later rounds at Q.
+func (p Phased) RoundProb(round int) (float64, radio.Cohort, bool) {
+	if round <= p.FloodRounds {
+		return 1, radio.AllInformed, true
+	}
+	return p.Q, radio.AllInformed, true
+}
+
 // RoundRobin gives each node a private slot: node v transmits in rounds
 // r with (r-1) mod N == v. Collision-free and deterministic, hence a
 // correct (if very slow) broadcast on any connected graph.
@@ -106,13 +133,14 @@ func (rr *RoundRobin) Transmit(v int32, round int, informedAt int32, rng *xrand.
 	return int32((round-1)%rr.N) == v
 }
 
-// Compile-time interface checks. Decay, Aloha and Flood declare uniform
-// rounds (radio.UniformProtocol), so protocol runners sample their
-// transmitter sets in O(k); RoundRobin's rounds are ID-dependent and
-// stay on the per-node path.
+// Compile-time interface checks. Decay, Aloha, Flood and Phased declare
+// uniform rounds (radio.UniformProtocol), so protocol runners sample
+// their transmitter sets in O(k); RoundRobin's rounds are ID-dependent
+// and stay on the per-node path.
 var (
 	_ radio.UniformProtocol = (*Decay)(nil)
 	_ radio.UniformProtocol = (*Aloha)(nil)
 	_ radio.UniformProtocol = Flood{}
+	_ radio.UniformProtocol = Phased{}
 	_ radio.Protocol        = (*RoundRobin)(nil)
 )
