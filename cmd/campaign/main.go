@@ -5,14 +5,14 @@
 //
 //	campaign spec   -preset e1|e4|collision-rate|scale|smoke|lane-smoke
 //	                [-scale small|medium|full] [-seed S] [-trials N]
-//	campaign run    -spec FILE -out DIR [-workers N] [-lanes N] [-resume]
+//	campaign run    -spec FILE -out DIR [-workers N] [-resume]
 //	                [-halt-after N] [-points LO:HI] [-json] [-quiet]
-//	campaign resume -out DIR [-workers N] [-lanes N] [-json] [-quiet]
+//	campaign resume -out DIR [-workers N] [-json] [-quiet]
 //	campaign report -out DIR [-json]
 //	campaign merge  -out DIR [-allow-overlap] SRC1 SRC2 ...
 //	campaign cluster -spec FILE -peers URL1,URL2 [-out DIR] [-addr A]
 //	                 [-advertise URL] [-shard-points N] [-ttl D]
-//	                 [-max-attempts N] [-leases-per-worker N] [-lanes N]
+//	                 [-max-attempts N] [-leases-per-worker N]
 //	                 [-resume] [-json] [-quiet]
 //
 // `spec` prints a preset campaign spec as JSON (edit it, or write your
@@ -35,11 +35,12 @@
 // and DESIGN.md §9.
 //
 // Fixed-graph points of the lane-capable kinds (distributed, decay,
-// aloha) run on the bit-parallel lane engine, -lanes trials per block
-// (0 = auto, 1 = force scalar). The report is byte-identical for every
-// lane setting >= 2 and 0; scalar runs draw a different (but
-// distributionally identical) stream, so a checkpoint records its engine
-// and refuses to resume a lane-sensitive spec under the other one.
+// aloha) run on the bit-parallel lane engine in blocks of up to 64
+// trials; every other point runs one scalar trial at a time. The lane
+// engine draws a different (but distributionally identical) stream from
+// the scalar one, so a checkpoint records its engine and refuses to
+// resume or merge a lane-sensitive spec recorded under the other one
+// (as a forced-scalar run of an older version did).
 //
 // Example — the kill-and-resume loop the CI smoke job runs:
 //
@@ -111,14 +112,14 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   campaign spec   -preset NAME [-scale small|medium|full] [-seed S] [-trials N]
-  campaign run    -spec FILE -out DIR [-workers N] [-lanes N] [-resume]
+  campaign run    -spec FILE -out DIR [-workers N] [-resume]
                   [-halt-after N] [-points LO:HI] [-json] [-quiet]
-  campaign resume -out DIR [-workers N] [-lanes N] [-json] [-quiet]
+  campaign resume -out DIR [-workers N] [-json] [-quiet]
   campaign report -out DIR [-json]
   campaign merge  -out DIR [-allow-overlap] SRC1 SRC2 ...
   campaign cluster -spec FILE -peers URL1,URL2 [-out DIR] [-addr A] [-advertise URL]
                    [-shard-points N] [-ttl D] [-max-attempts N]
-                   [-leases-per-worker N] [-lanes N] [-resume] [-json] [-quiet]`)
+                   [-leases-per-worker N] [-resume] [-json] [-quiet]`)
 }
 
 func cmdSpec(args []string) error {
@@ -132,11 +133,10 @@ func cmdSpec(args []string) error {
 		fs.PrintDefaults()
 		fmt.Fprintln(os.Stderr, `
 Lane fast path: points whose trial sets "fixed_graph": true with kind
-"distributed", "decay" or "aloha" dispatch in bit-parallel lane blocks
-under 'campaign run -lanes' (0 = auto, 1 = force scalar). Every other
-kind — and every fresh-graph point — runs on the scalar per-trial
-engine regardless of -lanes. The 'lane-smoke' preset is an all-lane
-grid for exercising this path.`)
+"distributed", "decay" or "aloha" run on the bit-parallel lane engine,
+up to 64 trials per block. Every other kind — and every fresh-graph
+point — runs on the scalar per-trial engine. The 'lane-smoke' preset is
+an all-lane grid for exercising this path.`)
 	}
 	fs.Parse(args)
 	if *preset == "" {
@@ -159,7 +159,6 @@ func cmdRun(args []string, resume bool) error {
 	specPath := fs.String("spec", "", "campaign spec JSON ('-' for stdin; resume reads it from the checkpoint)")
 	out := fs.String("out", "", "checkpoint directory (required)")
 	workers := fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS); the report does not depend on it")
-	lanesN := fs.Int("lanes", 0, "lane-block size for fixed-graph distributed/decay/aloha points (0 = auto, 1 = force scalar); the report is identical for every value >= 2 and 0")
 	resumeFlag := fs.Bool("resume", false, "resume from the checkpoint in -out, running only missing trials")
 	haltAfter := fs.Int("halt-after", 0, "halt after N new samples (deterministic interruption for smoke tests)")
 	points := fs.String("points", "", "restrict to grid points LO:HI (half-open) for cross-machine sharding")
@@ -206,7 +205,6 @@ func cmdRun(args []string, resume bool) error {
 		Dir:       *out,
 		Resume:    resume,
 		HaltAfter: *haltAfter,
-		Lanes:     *lanesN,
 	}
 	if !*quiet {
 		opt.Progress = os.Stderr
@@ -319,7 +317,6 @@ func cmdCluster(args []string) error {
 	ttl := fs.Duration("ttl", 0, "lease TTL; a lease silent this long is expired and its shard reassigned (0 = 5s)")
 	maxAttempts := fs.Int("max-attempts", 0, "lease budget per shard before the campaign fails (0 = 3)")
 	leasesPerWorker := fs.Int("leases-per-worker", 0, "concurrently leased shards per worker; workers also apply their own -shard-workers backpressure (0 = 1)")
-	lanesN := fs.Int("lanes", 0, "lane setting every worker runs with (0 = auto, 1 = force scalar); all shards share it so all samples come from one engine")
 	resumeFlag := fs.Bool("resume", false, "resume from the checkpoint in -out, leasing only incomplete shards")
 	jsonOut := fs.Bool("json", false, "print the final report as JSON instead of text")
 	quiet := fs.Bool("quiet", false, "suppress progress output")
@@ -390,7 +387,6 @@ func cmdCluster(args []string) error {
 		MaxAttempts:     *maxAttempts,
 		PointsPerShard:  *shardPoints,
 		LeasesPerWorker: *leasesPerWorker,
-		Lanes:           *lanesN,
 		Dir:             *out,
 		Resume:          *resumeFlag,
 	}

@@ -9,7 +9,7 @@ import (
 
 // Steady-state allocation regressions for the trial hot loops: a
 // fixed-graph runner builds its graph and engine once, so per-trial work
-// must not allocate — neither on the scalar path (BroadcastTimeOn
+// must not allocate — neither on the scalar path (Session.Time
 // materialises no Result) nor on the lane batch path (the lane engine
 // reuses every buffer across Run calls).
 
@@ -18,19 +18,25 @@ func fixedPoint(kind string) PointSpec {
 }
 
 func TestFixedGraphTrialAllocs(t *testing.T) {
+	ctx := context.Background()
 	for _, kind := range []string{"distributed", "decay", "aloha", "collision-rate"} {
 		runner, err := newRunner(fixedPoint(kind), 7)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rng := xrand.New(1)
-		runner.RunTrial(rng) // warm up lazily grown engine scratch
+		seed := []uint64{1}
+		values, oks := make([]float64, 1), make([]bool, 1)
+		if err := runner.RunTrials(ctx, seed, values, oks); err != nil {
+			t.Fatal(err) // warm up lazily grown engine scratch
+		}
 		allocs := testing.AllocsPerRun(20, func() {
-			rng.Reseed(99)
-			runner.RunTrial(rng)
+			seed[0] = 99
+			if err := runner.RunTrials(ctx, seed, values, oks); err != nil {
+				t.Fatal(err)
+			}
 		})
 		if allocs > 0 {
-			t.Errorf("%s fixed-graph RunTrial allocates %.1f objects/trial, want 0", kind, allocs)
+			t.Errorf("%s fixed-graph trial allocates %.1f objects/trial, want 0", kind, allocs)
 		}
 	}
 }
@@ -39,10 +45,6 @@ func TestLaneBatchSteadyStateAllocs(t *testing.T) {
 	runner, err := newRunner(fixedPoint("distributed"), 7)
 	if err != nil {
 		t.Fatal(err)
-	}
-	br, ok := runner.(BatchRunner)
-	if !ok {
-		t.Fatal("fixed-graph distributed runner must be a BatchRunner")
 	}
 	const trials = 16
 	seeds := make([]uint64, trials)
@@ -55,16 +57,16 @@ func TestLaneBatchSteadyStateAllocs(t *testing.T) {
 		}
 	}
 	fill(0)
-	if err := br.RunTrialBatch(context.Background(), seeds, values, oks); err != nil {
+	if err := runner.RunTrials(context.Background(), seeds, values, oks); err != nil {
 		t.Fatal(err) // warm up: builds the lane engine and its buffers
 	}
 	fill(trials)
-	if err := br.RunTrialBatch(context.Background(), seeds, values, oks); err != nil {
+	if err := runner.RunTrials(context.Background(), seeds, values, oks); err != nil {
 		t.Fatal(err) // second warm run settles amortized buffer growth
 	}
 	allocs := testing.AllocsPerRun(10, func() {
 		fill(2 * trials)
-		if err := br.RunTrialBatch(context.Background(), seeds, values, oks); err != nil {
+		if err := runner.RunTrials(context.Background(), seeds, values, oks); err != nil {
 			t.Fatal(err)
 		}
 	})

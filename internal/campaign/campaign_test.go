@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"context"
 	"math"
 	"os"
 	"path/filepath"
@@ -29,18 +30,22 @@ func init() {
 
 type cheapRunner struct{ scale float64 }
 
-func (r cheapRunner) RunTrial(rng *xrand.Rand) (float64, bool) {
-	v := rng.Float64() * r.scale
-	return v, v > 1
+func (r cheapRunner) RunTrials(ctx context.Context, seeds []uint64, values []float64, oks []bool) error {
+	return eachSeed(ctx, new(xrand.Rand), seeds, values, oks, func(rng *xrand.Rand) (float64, bool, error) {
+		v := rng.Float64() * r.scale
+		return v, v > 1, nil
+	})
 }
 
 type flakyRunner struct{}
 
-func (flakyRunner) RunTrial(rng *xrand.Rand) (float64, bool) {
-	if rng.Float64() < 0.3 {
-		panic("test-flaky: deterministic failure")
-	}
-	return rng.Float64(), true
+func (flakyRunner) RunTrials(ctx context.Context, seeds []uint64, values []float64, oks []bool) error {
+	return eachSeed(ctx, new(xrand.Rand), seeds, values, oks, func(rng *xrand.Rand) (float64, bool, error) {
+		if rng.Float64() < 0.3 {
+			panic("test-flaky: deterministic failure")
+		}
+		return rng.Float64(), true, nil
+	})
 }
 
 // cheapSpec builds a small pure-rng campaign spec.

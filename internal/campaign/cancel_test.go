@@ -11,10 +11,10 @@ import (
 )
 
 // ctxGate coordinates the "test-ctx" kind with the cancellation tests:
-// each RunTrialContext call sends one token to started (if a test is
-// listening) and then blocks until release is closed or the context is
-// canceled. RunTrial — the path used when a campaign has no Context —
-// never touches the gate.
+// each trial of a campaign run with a Context sends one token to started
+// (if a test is listening) and then blocks until release is closed or
+// the context is canceled. Trials of a campaign without a Context (whose
+// ctx can never be canceled) never touch the gate.
 var ctxGate struct {
 	started chan struct{}
 	release chan struct{}
@@ -28,27 +28,28 @@ func init() {
 
 type ctxAwareRunner struct{ scale float64 }
 
-func (r ctxAwareRunner) RunTrial(rng *xrand.Rand) (float64, bool) {
-	v := rng.Float64() * r.scale
-	return v, v > 1
-}
-
-func (r ctxAwareRunner) RunTrialContext(ctx context.Context, rng *xrand.Rand) (float64, bool, error) {
-	if ctxGate.started != nil {
-		select {
-		case ctxGate.started <- struct{}{}:
-		default:
+func (r ctxAwareRunner) RunTrials(ctx context.Context, seeds []uint64, values []float64, oks []bool) error {
+	return eachSeed(ctx, new(xrand.Rand), seeds, values, oks, func(rng *xrand.Rand) (float64, bool, error) {
+		if ctx.Done() == nil {
+			v := rng.Float64() * r.scale
+			return v, v > 1, nil
 		}
-	}
-	if ctxGate.release != nil {
-		select {
-		case <-ctxGate.release:
-		case <-ctx.Done():
-			return 0, false, radio.Canceled(ctx)
+		if ctxGate.started != nil {
+			select {
+			case ctxGate.started <- struct{}{}:
+			default:
+			}
 		}
-	}
-	v := rng.Float64() * r.scale
-	return v, v > 1, nil
+		if ctxGate.release != nil {
+			select {
+			case <-ctxGate.release:
+			case <-ctx.Done():
+				return 0, false, radio.Canceled(ctx)
+			}
+		}
+		v := rng.Float64() * r.scale
+		return v, v > 1, nil
+	})
 }
 
 func ctxSpec(trials int) *Spec {
@@ -88,7 +89,7 @@ func TestContextCancelDropsInFlightTrialsAndResumes(t *testing.T) {
 		outCh <- runOut{rep, err}
 	}()
 
-	// Both workers are now blocked inside RunTrialContext; cancel lands
+	// Both workers are now blocked inside a trial; cancel lands
 	// mid-trial.
 	for i := 0; i < 2; i++ {
 		select {
@@ -140,9 +141,9 @@ func TestContextCancelDropsInFlightTrialsAndResumes(t *testing.T) {
 }
 
 // TestContextUncanceledMatchesPlainRun: running under a live (never
-// canceled) context dispatches through RunTrialContext yet produces the
-// byte-identical report of a context-free run — the ContextRunner
-// contract that an uncanceled context-aware trial equals RunTrial.
+// canceled) context produces the byte-identical report of a context-free
+// run — the Runner contract that an uncanceled trial does not depend on
+// its context.
 func TestContextUncanceledMatchesPlainRun(t *testing.T) {
 	spec := ctxSpec(16)
 	ctx, cancel := context.WithCancel(context.Background())

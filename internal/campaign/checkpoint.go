@@ -62,10 +62,12 @@ type Manifest struct {
 	// Engine records which trial engine produced the samples: "" (or a
 	// missing field, in checkpoints recorded before lane batching) for the
 	// scalar per-trial engine, EngineLanes for the bit-parallel lane
-	// engine. The two draw different — distributionally identical —
-	// randomness streams for lane-capable points, so resuming or merging a
-	// lane-sensitive spec refuses a mismatch rather than silently mixing
-	// streams within one checkpoint.
+	// engine. Run records EngineTag(spec). The two engines draw different
+	// — distributionally identical — randomness streams for lane-capable
+	// points, so resuming or merging a lane-sensitive spec refuses a
+	// checkpoint tagged with the other engine (one recorded before lane
+	// batching, or by a forced-scalar run of an older version) rather
+	// than silently mixing streams within one checkpoint.
 	Engine string `json:"engine,omitempty"`
 	// Leases is the cluster coordinator's shard bookkeeping, recorded so
 	// a restarted coordinator resumes with its lease history visible (the
@@ -179,7 +181,7 @@ func OpenCheckpoint(dir string, spec *Spec, engine string) (*Checkpoint, map[key
 			dir, m.SpecHash, spec.Hash())
 	}
 	if m.Engine != engine && spec.laneSensitive() {
-		return nil, nil, fmt.Errorf("campaign: checkpoint %s was recorded by the %s engine, this run uses the %s engine; the streams differ for lane-capable points, refusing to mix them (rerun with the matching -lanes setting)",
+		return nil, nil, fmt.Errorf("campaign: checkpoint %s was recorded by the %s engine, this run uses the %s engine; the streams differ for lane-capable points, refusing to mix them (start a fresh run in a new directory)",
 			dir, engineName(m.Engine), engineName(engine))
 	}
 	samples, skipped, err := loadSamples(dir, m, spec)

@@ -1,16 +1,20 @@
 package campaign
 
 import (
+	"context"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/exec"
+	"repro/internal/sweep"
 )
 
-// Lane-engine acceptance tests: the report of a lane-sensitive campaign
-// must be byte-identical for every -lanes setting that selects the lane
-// engine (>= 2, and 0 = auto), lane-insensitive specs must not care at
-// all, and checkpoints must refuse to mix the lane and scalar streams of
-// a lane-sensitive spec.
+// Lane-engine acceptance tests: a lane-batched point's results must not
+// depend on how its trials are blocked, lane reports must not depend on
+// the worker count, every run must record the engine that produced its
+// samples, and checkpoints must refuse to mix the lane and scalar
+// streams of a lane-sensitive spec.
 
 func laneSpec(t *testing.T) *Spec {
 	t.Helper()
@@ -21,26 +25,44 @@ func laneSpec(t *testing.T) *Spec {
 	return spec
 }
 
+// TestLaneCountInvariance: a lane-batched runner's results are a pure
+// function of each trial's seed, so they are identical however a point's
+// trials are cut into blocks — single trials, a few, or full exec.Width
+// blocks — which is what lets a resumed or sharded campaign re-block its
+// missing trials freely.
 func TestLaneCountInvariance(t *testing.T) {
 	spec := laneSpec(t)
-	base, err := Run(spec, Options{Lanes: 2, Dir: filepath.Join(t.TempDir(), "l2")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseJSON, baseText := renderings(t, base)
-	for _, lanesN := range []int{0, 7, 64} {
-		r, err := Run(spec, Options{Lanes: lanesN, Dir: filepath.Join(t.TempDir(), "lN")})
+	seeds := sweep.Seeds(exec.Width+6, 5)
+	for _, p := range spec.Points {
+		runner, err := newRunner(p, 11)
 		if err != nil {
 			t.Fatal(err)
 		}
-		j, txt := renderings(t, r)
-		if j != baseJSON {
-			t.Errorf("JSON report with Lanes=%d differs from Lanes=2", lanesN)
-		}
-		if txt != baseText {
-			t.Errorf("text report with Lanes=%d differs from Lanes=2", lanesN)
+		want := runBlocks(t, runner, seeds, exec.Width)
+		for _, size := range []int{1, 2, 7} {
+			got := runBlocks(t, runner, seeds, size)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("point %s, trial %d: %v in blocks of %d, %v in blocks of %d",
+						p.ID, i, got[i], size, want[i], exec.Width)
+				}
+			}
 		}
 	}
+}
+
+// runBlocks runs seeds through r in consecutive blocks of size trials.
+func runBlocks(t *testing.T, r Runner, seeds []uint64, size int) []float64 {
+	t.Helper()
+	values := make([]float64, len(seeds))
+	oks := make([]bool, len(seeds))
+	for lo := 0; lo < len(seeds); lo += size {
+		hi := min(lo+size, len(seeds))
+		if err := r.RunTrials(context.Background(), seeds[lo:hi], values[lo:hi], oks[lo:hi]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return values
 }
 
 func TestLaneWorkerInvariance(t *testing.T) {
@@ -62,21 +84,24 @@ func TestLaneWorkerInvariance(t *testing.T) {
 }
 
 // TestScalarFallbackIgnoresLanes: a spec with no fixed-graph point never
-// touches the lane engine, so every Lanes setting — including the scalar
-// 1 — yields the same bytes, and its checkpoints carry the scalar tag.
+// touches the lane engine, so its checkpoints carry the scalar tag; a
+// spec with a lane-batched point carries the lane tag.
 func TestScalarFallbackIgnoresLanes(t *testing.T) {
-	spec := simSpecScalar()
-	base, err := Run(spec, Options{Lanes: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseJSON, _ := renderings(t, base)
-	r, err := Run(spec, Options{Lanes: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if j, _ := renderings(t, r); j != baseJSON {
-		t.Error("lane-insensitive report differs between Lanes=1 and Lanes=64")
+	for _, tc := range []struct {
+		spec *Spec
+		want string
+	}{{simSpecScalar(), EngineScalar}, {laneSpec(t), EngineLanes}} {
+		dir := filepath.Join(t.TempDir(), "ck")
+		if _, err := Run(tc.spec, Options{Dir: dir}); err != nil {
+			t.Fatal(err)
+		}
+		m, err := ReadManifest(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Engine != tc.want || EngineTag(tc.spec) != tc.want {
+			t.Errorf("%s: manifest engine %q, EngineTag %q, want %q", tc.spec.Name, m.Engine, EngineTag(tc.spec), tc.want)
+		}
 	}
 }
 
@@ -95,12 +120,35 @@ func simSpecScalar() *Spec {
 	return spec
 }
 
-// TestResumeEngineMismatch: a halted lane run must refuse to resume
-// under the scalar engine (and vice versa) — the two draw different
-// randomness streams, so mixing them inside one checkpoint would break
-// the byte-identical-resume guarantee.
+// scalarCheckpoint creates an empty checkpoint of spec tagged with the
+// scalar engine — what a forced-scalar run of an older version recorded.
+func scalarCheckpoint(t *testing.T, spec *Spec) string {
+	t.Helper()
+	dir := filepath.Join(t.TempDir(), "scalar")
+	ck, err := CreateCheckpoint(dir, spec, EngineScalar)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ck.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// TestResumeEngineMismatch: a scalar-tagged checkpoint of a lane-sensitive
+// spec must be refused on resume and on merge with a lane checkpoint —
+// the two engines draw different randomness streams, so mixing them
+// inside one checkpoint would break the byte-identical-resume guarantee.
+// A halted lane run resumes and converges to the uninterrupted report.
 func TestResumeEngineMismatch(t *testing.T) {
 	spec := laneSpec(t)
+	scalarDir := scalarCheckpoint(t, spec)
+	if _, err := Run(spec, Options{Dir: scalarDir, Resume: true}); err == nil {
+		t.Fatal("resuming a scalar checkpoint of a lane-sensitive spec must fail")
+	} else if !strings.Contains(err.Error(), "scalar engine") {
+		t.Errorf("mismatch error should name the scalar engine, got: %v", err)
+	}
+
 	dir := filepath.Join(t.TempDir(), "ck")
 	partial, err := Run(spec, Options{Dir: dir, HaltAfter: 2})
 	if err != nil {
@@ -109,14 +157,12 @@ func TestResumeEngineMismatch(t *testing.T) {
 	if partial.Complete {
 		t.Fatal("halted run must be incomplete")
 	}
-	if _, err := Run(spec, Options{Dir: dir, Resume: true, Lanes: 1}); err == nil {
-		t.Fatal("resuming a lane checkpoint with the scalar engine must fail")
-	} else if !strings.Contains(err.Error(), "-lanes") {
-		t.Errorf("mismatch error should mention -lanes, got: %v", err)
+	if _, err := Merge(filepath.Join(t.TempDir(), "merged"), []string{dir, scalarDir}); err == nil {
+		t.Fatal("merging a lane and a scalar checkpoint of a lane-sensitive spec must fail")
+	} else if !strings.Contains(err.Error(), "refusing to merge") {
+		t.Errorf("merge error should refuse the engine mix, got: %v", err)
 	}
-	// Resuming under any lane setting >= 2 is fine and must converge to
-	// the uninterrupted report.
-	resumed, err := Run(spec, Options{Dir: dir, Resume: true, Lanes: 8})
+	resumed, err := Run(spec, Options{Dir: dir, Resume: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,19 +180,27 @@ func TestResumeEngineMismatch(t *testing.T) {
 	}
 }
 
-// TestResumeEngineMismatchInsensitive: a spec with no lane-capable point
-// always tags its checkpoints scalar, so any Lanes setting may resume it.
+// TestResumeEngineMismatchInsensitive: for a spec with no lane-capable
+// point the engine cannot change any value, so a checkpoint tagged with
+// either engine resumes.
 func TestResumeEngineMismatchInsensitive(t *testing.T) {
 	spec := simSpecScalar()
 	dir := filepath.Join(t.TempDir(), "ck")
-	if _, err := Run(spec, Options{Dir: dir, HaltAfter: 2, Lanes: 64}); err != nil {
+	ck, err := CreateCheckpoint(dir, spec, EngineLanes)
+	if err != nil {
 		t.Fatal(err)
 	}
-	resumed, err := Run(spec, Options{Dir: dir, Resume: true, Lanes: 1})
+	if err := ck.Close(); err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := Run(spec, Options{Dir: dir, Resume: true})
 	if err != nil {
-		t.Fatalf("lane-insensitive resume must accept any Lanes setting: %v", err)
+		t.Fatalf("lane-insensitive resume must accept either engine tag: %v", err)
 	}
 	if !resumed.Complete {
 		t.Fatal("resumed run must complete")
+	}
+	if _, err := Merge(filepath.Join(t.TempDir(), "merged"), []string{dir, scalarCheckpoint(t, spec)}); err != nil {
+		t.Errorf("lane-insensitive merge must accept either engine tag: %v", err)
 	}
 }

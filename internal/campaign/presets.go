@@ -200,9 +200,9 @@ func presetSmoke(scale string, seed uint64, trials int) (*Spec, error) {
 }
 
 // presetLaneSmoke is the lane-engine CI grid: fixed-graph points of every
-// lane-capable kind, so trials dispatch in lane blocks under the default
-// -lanes setting. Reports must be byte-identical for every -lanes value
-// >= 2 (and 0); see the lane invariance tests.
+// lane-capable kind, so every trial dispatches in a lane block. Reports
+// must be byte-identical however the trials are blocked (a resume
+// re-blocks the missing ones); see the lane invariance tests.
 func presetLaneSmoke(scale string, seed uint64, trials int) (*Spec, error) {
 	if trials <= 0 {
 		trials = 20

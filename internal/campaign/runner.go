@@ -44,9 +44,9 @@ type Options struct {
 	// flushed, and Run returns the partial report. Wire ^C to it.
 	Interrupt <-chan struct{}
 	// Context, when non-nil, cancels the run cooperatively: dispatching
-	// stops (like Interrupt), and in-flight trials whose runners implement
-	// ContextRunner are canceled mid-run via the context instead of being
-	// run to completion. Canceled trials are DISCARDED, not recorded —
+	// stops (like Interrupt), and in-flight trials are canceled mid-run
+	// via the context (see Runner.RunTrials) instead of being run to
+	// completion. Canceled trials are DISCARDED, not recorded —
 	// a cancellation-timing-dependent sample would break the byte-identical
 	// resume guarantee — so a resumed run simply re-runs them. The
 	// checkpoint is still flushed and the partial report returned.
@@ -62,15 +62,6 @@ type Options struct {
 	// This is how a cluster worker extracts a shard's samples without a
 	// checkpoint directory.
 	Sink func(*Sample)
-	// Lanes picks the trial engine for lane-capable points (FixedGraph
-	// distributed/decay/aloha): 0 means auto (exec.Width-wide blocks on
-	// the bit-parallel engine), >= 2 dispatches blocks of that many
-	// trials, and 1 (or negative) forces the scalar per-trial engine.
-	// Lane purity makes reports byte-identical across every setting >= 2
-	// and 0; scalar runs draw a different (distributionally identical)
-	// stream, so checkpoints record the engine and refuse to resume a
-	// lane-sensitive spec under the other one.
-	Lanes int
 }
 
 func (o *Options) workers() int {
@@ -87,40 +78,16 @@ func (o *Options) flushEvery() int {
 	return 64
 }
 
-func (o *Options) lanes() int {
-	switch {
-	case o.Lanes == 0 || o.Lanes > exec.Width:
-		return exec.Width
-	case o.Lanes < 1:
-		return 1
-	default:
-		return o.Lanes
-	}
-}
-
-// engineTag returns the Manifest.Engine value of a run: "lanes" when the
-// bit-parallel lane engine will produce samples for at least one point of
-// the spec, "" when everything runs scalar. Lane-insensitive specs always
-// tag "" — the engine choice cannot change their values.
-func engineTag(spec *Spec, lanesN int) string {
-	if lanesN > 1 && spec.laneSensitive() {
-		return EngineLanes
-	}
-	return EngineScalar
-}
-
-// workItem is one dispatch: a block of trials of one point. Scalar
-// dispatches carry a single trial; lane-capable points carry up to
-// Options.Lanes consecutive missing trials with their seeds.
+// workItem is one dispatch: a block of trials of one point, with their
+// seeds. Scalar points dispatch single trials; lane-batched points
+// (batchablePoint) dispatch up to exec.Width consecutive missing trials,
+// every block — a trailing block of one trial too — on the lane engine,
+// so a trial's randomness stream never depends on where the block
+// boundaries fall.
 type workItem struct {
 	point  int
 	trials []int
 	seeds  []uint64
-	// batch routes the item through the runner's BatchRunner capability.
-	// It is set for every block of a lane-dispatched point — including a
-	// trailing block of one trial — so a trial's engine (and therefore its
-	// randomness stream) never depends on where the block boundaries fall.
-	batch bool
 }
 
 // Run executes a campaign. The returned report is byte-identical (via
@@ -156,7 +123,7 @@ func Run(spec *Spec, opt Options) (*Report, error) {
 		pointSeeds[p] = parent.DeriveSeed(uint64(p) + 1)
 	}
 
-	engine := engineTag(spec, opt.lanes())
+	engine := EngineTag(spec)
 	samples := make(map[key]*Sample)
 	var ck *Checkpoint
 	var err error
@@ -192,12 +159,11 @@ func Run(spec *Spec, opt Options) (*Report, error) {
 	// The work list interleaves blocks across points (block 0 of every
 	// point, then block 1, ...) so adaptive stopping sees every point's
 	// early trials as soon as possible. Scalar points emit one-trial
-	// blocks, reproducing the classic trial-major interleave; lane-capable
-	// points chunk their missing trials into Options.Lanes-sized blocks.
+	// blocks, reproducing the classic trial-major interleave; lane-batched
+	// points chunk their missing trials into exec.Width-sized blocks.
 	// Blocking only changes dispatch granularity: every sample remains a
 	// pure function of its own seed, and the aggregator consumes samples
 	// in trial order, so the report is independent of the block size.
-	lanesN := opt.lanes()
 	perPoint := make([][]workItem, 0, hi-lo)
 	maxBlocks := 0
 	for p := lo; p < hi; p++ {
@@ -208,14 +174,13 @@ func Run(spec *Spec, opt Options) (*Report, error) {
 			}
 		}
 		size := 1
-		batch := lanesN > 1 && batchablePoint(spec.Points[p])
-		if batch {
-			size = lanesN
+		if batchablePoint(spec.Points[p]) {
+			size = exec.Width
 		}
 		var blocks []workItem
 		for len(missing) > 0 {
 			k := min(size, len(missing))
-			it := workItem{point: p, trials: missing[:k:k], batch: batch}
+			it := workItem{point: p, trials: missing[:k:k]}
 			for _, t := range it.trials {
 				it.seeds = append(it.seeds, trialSeeds[p][t])
 			}
@@ -354,13 +319,13 @@ func Run(spec *Spec, opt Options) (*Report, error) {
 }
 
 // runWorker executes work items until the channel closes. Each worker
-// caches one Runner per point (the sweep.RunWith engine-reuse pattern)
-// and survives panicking trials: a panic is captured, the cached runner —
+// caches one Runner per point, so graph-sized state (graphs, engines) is
+// built once per worker and point rather than once per trial, and survives panicking trials: a panic is captured, the cached runner —
 // whose state the panic may have corrupted — is discarded, the trial is
 // retried up to spec.MaxRetries times, and a still-failing trial is
 // recorded as a failed sample rather than killing the pool.
 //
-// A trial canceled via ctx (see Options.Context and ContextRunner) is
+// A block canceled via ctx (see Options.Context and Runner.RunTrials) is
 // dropped entirely: no sample is emitted, no retry attempted — its value
 // would depend on when cancellation landed, which must never reach a
 // checkpoint.
@@ -431,14 +396,10 @@ func runWorker(ctx context.Context, spec *Spec, pointSeeds []uint64, workCh <-ch
 }
 
 // attemptItem runs one attempt of one work item (a single trial or a
-// lane block), converting panics (in runner construction or the trials
-// themselves) into errors. Multi-trial items go through the runner's
-// BatchRunner capability when it has one and fall back to per-seed
-// single trials otherwise (seed purity makes the two identical for
-// scalar runners). Runners that implement ContextRunner get the worker's
-// context so a campaign shutdown cancels them mid-run; a resulting
-// cancellation error is returned as-is (wrapped in radio.ErrCanceled)
-// for the caller to drop.
+// lane block) through one RunTrials call, converting panics (in runner
+// construction or the trials themselves) into errors. A cancellation
+// error is returned as-is (wrapping radio.ErrCanceled) for the caller
+// to drop.
 func attemptItem(ctx context.Context, spec *Spec, pointSeeds []uint64, runners map[int]Runner, it workItem) (values []float64, oks []bool, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -455,23 +416,8 @@ func attemptItem(ctx context.Context, spec *Spec, pointSeeds []uint64, runners m
 	}
 	values = make([]float64, len(it.seeds))
 	oks = make([]bool, len(it.seeds))
-	if br, isBatch := runner.(BatchRunner); isBatch && it.batch {
-		if err := br.RunTrialBatch(ctx, it.seeds, values, oks); err != nil {
-			return nil, nil, err
-		}
-		return values, oks, nil
-	}
-	cr, isCtx := runner.(ContextRunner)
-	for i, seed := range it.seeds {
-		if isCtx && ctx.Done() != nil {
-			v, ok, err := cr.RunTrialContext(ctx, xrand.New(seed))
-			if err != nil {
-				return nil, nil, err
-			}
-			values[i], oks[i] = v, ok
-		} else {
-			values[i], oks[i] = runner.RunTrial(xrand.New(seed))
-		}
+	if err := runner.RunTrials(ctx, it.seeds, values, oks); err != nil {
+		return nil, nil, err
 	}
 	return values, oks, nil
 }

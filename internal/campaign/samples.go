@@ -178,11 +178,15 @@ func DecodeSamples(b []byte) ([]Sample, error) {
 	return out, nil
 }
 
-// EngineTag returns the Manifest.Engine tag a run of spec with the given
-// Options.Lanes setting records — the value a cluster coordinator must
-// hand its workers (and stamp on its own checkpoint) so every shard of a
-// distributed campaign draws the same randomness stream.
-func EngineTag(spec *Spec, lanesOpt int) string {
-	o := Options{Lanes: lanesOpt}
-	return engineTag(spec, o.lanes())
+// EngineTag returns the Manifest.Engine tag every run of spec records —
+// the value a cluster coordinator stamps on its own checkpoint, so its
+// shards and a local run of the spec draw the same randomness stream:
+// EngineLanes when at least one point is lane batched, EngineScalar when
+// every trial runs on the scalar engine (lane-insensitive specs, whose
+// values no engine choice could change).
+func EngineTag(spec *Spec) string {
+	if spec.laneSensitive() {
+		return EngineLanes
+	}
+	return EngineScalar
 }

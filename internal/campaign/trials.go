@@ -18,44 +18,44 @@ import (
 
 // Runner executes the trials of one grid point. A runner is created once
 // per (worker, point) pair and may cache expensive state — graphs,
-// engines, scratch buffers — between trials, the sweep.RunWith reuse
-// contract: a trial must reset any result-relevant state at its start and
-// draw randomness exclusively from the per-trial rng, so its result is a
-// pure function of the seed, independent of which worker ran it or what
-// ran before.
+// engines, scratch buffers — between calls: a trial must reset any
+// result-relevant state at its start and draw randomness only from its
+// own seed, so its result is a pure function of the seed, independent of
+// which worker ran it, what ran before it, or which block it came in.
 type Runner interface {
-	// RunTrial executes one trial: value is the scalar measurement, ok
-	// reports trial-level success (e.g. the broadcast completed within
-	// budget).
-	RunTrial(rng *xrand.Rand) (value float64, ok bool)
+	// RunTrials executes one trial per seed: values[i] receives seed i's
+	// scalar measurement and oks[i] its trial-level success (e.g. the
+	// broadcast completed within budget). A block is one seed, or up to
+	// exec.Width seeds for a lane-batched point (batchablePoint), whose
+	// trials advance together on the bit-parallel lane engine — a
+	// different, distributionally identical randomness stream from the
+	// scalar engine's; checkpoints record which engine produced them
+	// (Manifest.Engine). ctx is never nil. A runner that honours it
+	// returns an error wrapping radio.ErrCanceled once it is canceled,
+	// and the worker discards the whole block (recording a partially run
+	// trial would make checkpoints depend on cancellation timing).
+	// Uncanceled, results must not depend on ctx: checking it consumes no
+	// randomness.
+	RunTrials(ctx context.Context, seeds []uint64, values []float64, oks []bool) error
 }
 
-// ContextRunner is an optional Runner capability: a runner implements it
-// to support cooperative mid-trial cancellation. When a campaign runs
-// with Options.Context, workers call RunTrialContext instead of RunTrial;
-// a canceled trial must return an error wrapping radio.ErrCanceled, and
-// the worker then discards it (recording a partially-run trial would make
-// checkpoints depend on cancellation timing). An uncanceled
-// RunTrialContext must return exactly RunTrial's (value, ok) for the same
-// rng — the cancellation check consumes no randomness.
-type ContextRunner interface {
-	Runner
-	RunTrialContext(ctx context.Context, rng *xrand.Rand) (value float64, ok bool, err error)
-}
-
-// BatchRunner is an optional Runner capability: a runner implements it to
-// execute a block of trials in one call — the bit-parallel lane engine's
-// entry point. seeds[i] is trial i's derived seed and values[i]/oks[i]
-// receive its result; len(seeds) never exceeds lanes.Width. Each trial's
-// result must be a pure function of its own seed (lane purity), so a
-// batched campaign records byte-identical reports no matter how trials
-// are blocked — but batch results come from the lane engine's randomness
-// stream, which is distributionally identical to, not bit-identical to,
-// the scalar RunTrial stream; checkpoints record which engine produced
-// them (Manifest.Engine) and refuse to mix the two.
-type BatchRunner interface {
-	Runner
-	RunTrialBatch(ctx context.Context, seeds []uint64, values []float64, oks []bool) error
+// eachSeed runs trial once per seed, on rng reseeded to that seed (the
+// state xrand.New(seed) returns, without allocating), and stops at the
+// first error — the block loop of every runner whose trials run one at a
+// time. A canceled ctx stops it between trials.
+func eachSeed(ctx context.Context, rng *xrand.Rand, seeds []uint64, values []float64, oks []bool, trial func(*xrand.Rand) (float64, bool, error)) error {
+	for i, seed := range seeds {
+		if ctx.Err() != nil {
+			return radio.Canceled(ctx)
+		}
+		rng.Reseed(seed)
+		v, ok, err := trial(rng)
+		if err != nil {
+			return err
+		}
+		values[i], oks[i] = v, ok
+	}
+	return nil
 }
 
 // batchKinds are the built-in trial kinds the lane engine accelerates:
@@ -165,16 +165,17 @@ const graphSeedID = 0
 // protocolRunner measures the completion round of a randomized protocol:
 // value is the round the broadcast completed (maxRounds+1 if it did not),
 // ok reports completion. With FixedGraph the graph is sampled once per
-// worker from the point seed and pinned in an exec.Session, which owns
-// the engines (scalar engine reset per trial, lane engine built lazily
-// on the first batched block); otherwise each trial samples a fresh
-// connected G(n,p) from its own rng and dispatches one-shot.
+// worker from the point seed and pinned in an exec.Session, which runs
+// each block on its lane engine (built on the first block); otherwise
+// each trial samples a fresh connected G(n,p) from its own rng and
+// dispatches one-shot.
 type protocolRunner struct {
 	spec      TrialSpec
 	proto     radio.Protocol
 	maxRounds int
 	sess      *exec.Session // non-nil iff FixedGraph
-	batchOut  []int
+	out       []int         // the session's completion rounds, exec.Width long
+	rng       xrand.Rand
 }
 
 func newProtocolKind(proto func(TrialSpec) radio.Protocol) NewRunnerFunc {
@@ -183,76 +184,26 @@ func newProtocolKind(proto func(TrialSpec) radio.Protocol) NewRunnerFunc {
 		if p.Trial.FixedGraph {
 			g := gen.MustConnectedGnp(p.Trial.N, p.Trial.D, xrand.New(pointSeed).Derive(graphSeedID))
 			r.sess = exec.Open(&exec.Request{Graph: g, Sources: []int32{0}, Protocol: r.proto, MaxRounds: r.maxRounds})
+			r.out = make([]int, exec.Width)
 		}
 		return r, nil
 	}
 }
 
-// oneShot is the request for a trial on a freshly sampled graph.
-func (r *protocolRunner) oneShot(g *graph.Graph) *exec.Request {
-	return &exec.Request{Graph: g, Sources: []int32{0}, Protocol: r.proto, MaxRounds: r.maxRounds}
-}
-
-func (r *protocolRunner) RunTrial(rng *xrand.Rand) (float64, bool) {
-	var rounds int
-	if r.sess != nil {
-		rounds, _ = r.sess.Time(context.Background(), rng)
-	} else {
-		g := gen.MustConnectedGnp(r.spec.N, r.spec.D, rng)
-		rounds, _ = exec.Time(context.Background(), r.oneShot(g), rng)
-	}
-	return float64(rounds), rounds <= r.maxRounds
-}
-
-// RunTrialContext implements ContextRunner: the engine's round loop checks
-// ctx between rounds, so a campaign shutdown cancels the trial mid-run
-// instead of waiting out the round budget. Uncanceled, it is bit-identical
-// to RunTrial (the check consumes no randomness).
-func (r *protocolRunner) RunTrialContext(ctx context.Context, rng *xrand.Rand) (float64, bool, error) {
-	var rounds int
-	var err error
-	if r.sess != nil {
-		rounds, err = r.sess.Time(ctx, rng)
-	} else {
-		if err := ctx.Err(); err != nil {
-			return 0, false, radio.Canceled(ctx)
-		}
-		g := gen.MustConnectedGnp(r.spec.N, r.spec.D, rng)
-		rounds, err = exec.Time(ctx, r.oneShot(g), rng)
-	}
-	if err != nil {
-		return 0, false, err
-	}
-	return float64(rounds), rounds <= r.maxRounds, nil
-}
-
-// RunTrialBatch implements BatchRunner: the session advances every
-// trial of the block through the point's fixed graph simultaneously on
-// the lane engine, or falls back to per-seed scalar trials (identical
-// to single dispatch) when the protocol declared no uniform schedule.
-// The non-fixed-graph guard stays here — the work list only batches
-// batchablePoint points, so it is a guard, not a steady state.
-func (r *protocolRunner) RunTrialBatch(ctx context.Context, seeds []uint64, values []float64, oks []bool) error {
+func (r *protocolRunner) RunTrials(ctx context.Context, seeds []uint64, values []float64, oks []bool) error {
 	if r.sess == nil {
-		for i, seed := range seeds {
-			v, ok, err := r.RunTrialContext(ctx, xrand.New(seed))
-			if err != nil {
-				return err
-			}
-			values[i], oks[i] = v, ok
-		}
-		return nil
+		return eachSeed(ctx, &r.rng, seeds, values, oks, func(rng *xrand.Rand) (float64, bool, error) {
+			g := gen.MustConnectedGnp(r.spec.N, r.spec.D, rng)
+			rounds, err := exec.Time(ctx, &exec.Request{Graph: g, Sources: []int32{0}, Protocol: r.proto, MaxRounds: r.maxRounds}, rng)
+			return float64(rounds), rounds <= r.maxRounds, err
+		})
 	}
-	if r.batchOut == nil {
-		r.batchOut = make([]int, exec.Width)
-	}
-	out := r.batchOut[:len(seeds)]
+	out := r.out[:len(seeds)]
 	if err := r.sess.RunSeeds(ctx, seeds, out); err != nil {
 		return err
 	}
 	for i, rounds := range out {
-		values[i] = float64(rounds)
-		oks[i] = rounds <= r.maxRounds
+		values[i], oks[i] = float64(rounds), rounds <= r.maxRounds
 	}
 	return nil
 }
@@ -267,6 +218,7 @@ func (r *protocolRunner) RunTrialBatch(ctx context.Context, seeds []uint64, valu
 type centralizedRunner struct {
 	spec  TrialSpec
 	fixed *graph.Graph // non-nil iff FixedGraph
+	rng   xrand.Rand
 }
 
 func newCentralizedRunner(p PointSpec, pointSeed uint64) (Runner, error) {
@@ -277,21 +229,23 @@ func newCentralizedRunner(p PointSpec, pointSeed uint64) (Runner, error) {
 	return r, nil
 }
 
-func (r *centralizedRunner) RunTrial(rng *xrand.Rand) (float64, bool) {
-	g := r.fixed
-	if g == nil {
-		g = gen.MustConnectedGnp(r.spec.N, r.spec.D, rng)
-	}
-	sched, _, err := core.BuildCentralizedSchedule(g, 0, r.spec.D, core.DefaultCentralizedConfig(rng.Uint64()))
-	if err != nil {
-		panic(fmt.Sprintf("campaign: building centralized schedule: %v", err))
-	}
-	// Schedule replay is deterministic (no rng): the schedule backend.
-	res, err := exec.Run(context.Background(), &exec.Request{Graph: g, Sources: []int32{0}, Schedule: sched}, nil)
-	if err != nil {
-		panic(fmt.Sprintf("campaign: replaying centralized schedule: %v", err))
-	}
-	return float64(res.Rounds), res.Completed
+func (r *centralizedRunner) RunTrials(ctx context.Context, seeds []uint64, values []float64, oks []bool) error {
+	return eachSeed(ctx, &r.rng, seeds, values, oks, func(rng *xrand.Rand) (float64, bool, error) {
+		g := r.fixed
+		if g == nil {
+			g = gen.MustConnectedGnp(r.spec.N, r.spec.D, rng)
+		}
+		sched, _, err := core.BuildCentralizedSchedule(g, 0, r.spec.D, core.DefaultCentralizedConfig(rng.Uint64()))
+		if err != nil {
+			return 0, false, fmt.Errorf("campaign: building centralized schedule: %w", err)
+		}
+		// Schedule replay is deterministic (no rng): the schedule backend.
+		res, err := exec.Run(ctx, &exec.Request{Graph: g, Sources: []int32{0}, Schedule: sched}, nil)
+		if err != nil {
+			return 0, false, fmt.Errorf("campaign: replaying centralized schedule: %w", err)
+		}
+		return float64(res.Rounds), res.Completed, nil
+	})
 }
 
 // collisionRateRunner measures the fraction of listener-rounds lost to
@@ -304,6 +258,7 @@ type collisionRateRunner struct {
 	proto     radio.Protocol // hoisted: one construction per runner, not per trial
 	counters  trace.Counters
 	sess      *exec.Session // non-nil iff FixedGraph; engine observed by counters
+	rng       xrand.Rand
 }
 
 func newCollisionRateRunner(p PointSpec, pointSeed uint64) (Runner, error) {
@@ -322,25 +277,28 @@ func newCollisionRateRunner(p PointSpec, pointSeed uint64) (Runner, error) {
 	return r, nil
 }
 
-func (r *collisionRateRunner) RunTrial(rng *xrand.Rand) (float64, bool) {
-	r.counters = trace.Counters{}
-	// Session.Time drives the identical round stream RunProtocolOn did
-	// but materialises no Result (whose InformedAt slice was an n-sized
-	// allocation per trial); the counters observer carries the aggregate.
-	var rounds int
-	if r.sess != nil {
-		rounds, _ = r.sess.Time(context.Background(), rng)
-	} else {
-		g := gen.MustConnectedGnp(r.spec.N, r.spec.D, rng)
-		rounds, _ = exec.Time(context.Background(), &exec.Request{
-			Graph: g, Sources: []int32{0}, Protocol: r.proto,
-			MaxRounds: r.maxRounds, Observer: &r.counters,
-		}, rng)
-	}
-	completed := rounds <= r.maxRounds
-	listens := r.counters.Successes + r.counters.Collisions + r.counters.Silent
-	if listens == 0 {
-		return 0, completed
-	}
-	return float64(r.counters.Collisions) / float64(listens), completed
+func (r *collisionRateRunner) RunTrials(ctx context.Context, seeds []uint64, values []float64, oks []bool) error {
+	return eachSeed(ctx, &r.rng, seeds, values, oks, func(rng *xrand.Rand) (float64, bool, error) {
+		r.counters = trace.Counters{}
+		// Time materialises no Result (whose InformedAt slice would be an
+		// n-sized allocation per trial); the counters observer carries the
+		// aggregate.
+		var rounds int
+		var err error
+		if r.sess != nil {
+			rounds, err = r.sess.Time(ctx, rng)
+		} else {
+			g := gen.MustConnectedGnp(r.spec.N, r.spec.D, rng)
+			rounds, err = exec.Time(ctx, &exec.Request{
+				Graph: g, Sources: []int32{0}, Protocol: r.proto,
+				MaxRounds: r.maxRounds, Observer: &r.counters,
+			}, rng)
+		}
+		completed := rounds <= r.maxRounds
+		listens := r.counters.Successes + r.counters.Collisions + r.counters.Silent
+		if listens == 0 {
+			return 0, completed, err
+		}
+		return float64(r.counters.Collisions) / float64(listens), completed, err
+	})
 }

@@ -65,9 +65,10 @@ func Plan(spec *campaign.Spec, pointsPerShard int) []Shard {
 }
 
 // LeaseOffer is the coordinator → worker lease grant offer: the full
-// spec (workers are stateless), the shard's point range, the engine
-// setting every worker must share, the lease TTL the worker's heartbeats
-// must beat, and the coordinator base URL to call back.
+// spec (workers are stateless; the spec alone fixes which engine runs
+// each point, so every shard draws the stream a local run would), the
+// shard's point range, the lease TTL the worker's heartbeats must beat,
+// and the coordinator base URL to call back.
 type LeaseOffer struct {
 	LeaseID     string         `json:"lease_id"`
 	ShardID     string         `json:"shard_id"`
@@ -75,7 +76,6 @@ type LeaseOffer struct {
 	PointHi     int            `json:"point_hi"`
 	Spec        *campaign.Spec `json:"spec"`
 	SpecHash    string         `json:"spec_hash"`
-	Lanes       int            `json:"lanes"`
 	TTLMs       int            `json:"ttl_ms"`
 	Coordinator string         `json:"coordinator"`
 	// Worker is the worker's own base URL as the coordinator addresses

@@ -36,10 +36,6 @@ type Config struct {
 	// (default 1). A worker may still answer 429 below this bound — its
 	// own shard slots are the authority — and the coordinator backs off.
 	LeasesPerWorker int
-	// Lanes is the campaign lane setting every worker runs with (the
-	// usual 0 = auto, 1 = force scalar). All shards share it so all
-	// samples come from one engine's randomness stream.
-	Lanes int
 	// OfferTimeout bounds one lease-offer round trip (default 3s).
 	OfferTimeout time.Duration
 	// Backoff is the base back-off after an offer fails or is rejected
@@ -258,7 +254,7 @@ func (c *Coordinator) openCheckpoint() error {
 	if c.cfg.Dir == "" {
 		return nil
 	}
-	engine := campaign.EngineTag(c.spec, c.cfg.Lanes)
+	engine := campaign.EngineTag(c.spec)
 	if c.cfg.Resume {
 		ck, samples, err := campaign.OpenCheckpoint(c.cfg.Dir, c.spec, engine)
 		if err != nil {
@@ -410,7 +406,6 @@ func (c *Coordinator) offer(s *shardState, w *workerState) {
 		PointHi:     s.Hi,
 		Spec:        c.spec,
 		SpecHash:    c.specHash,
-		Lanes:       c.cfg.Lanes,
 		TTLMs:       int(c.cfg.leaseTTL() / time.Millisecond),
 		Coordinator: c.cfg.Advertise,
 		Worker:      w.url,

@@ -39,7 +39,7 @@
 // so a trial's outcome is a pure function of (graph, sources, plan, seed):
 // bit-identical no matter the lane width, which other trials share its
 // block, or how blocks are sharded across workers. That invariance is
-// what lets campaign reports stay deterministic across -lanes settings.
+// what lets campaign reports stay deterministic however trials are blocked.
 //
 // The engine handles protocols through the radio.UniformProtocol
 // capability only: the per-round (q, cohort) schedule is probed up front

@@ -123,7 +123,7 @@ func TestLaneVsOracleReplay(t *testing.T) {
 // TestLanePurity: a trial's outcome depends only on its own seed — not on
 // the lane width, its position within a block, or which other trials
 // share the block. This is the property that makes campaign reports
-// deterministic across -lanes settings.
+// deterministic however their trials are blocked.
 func TestLanePurity(t *testing.T) {
 	g := testGraph(t, 200, 7, 99)
 	p := core.NewDistributedProtocol(200, 7)

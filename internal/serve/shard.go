@@ -146,7 +146,6 @@ func (s *Server) runShard(offer *cluster.LeaseOffer) {
 		Context: ctx,
 		PointLo: offer.PointLo,
 		PointHi: offer.PointHi,
-		Lanes:   offer.Lanes,
 		Workers: s.cfg.Workers,
 		Sink:    func(sm *campaign.Sample) { samples = append(samples, *sm) },
 	})
