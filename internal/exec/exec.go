@@ -118,10 +118,6 @@ type Request struct {
 	// for the run (protocol or schedule) and back in afterwards — the
 	// serving layer's steady-state path. Ignored when Engine is set.
 	Pool bool
-
-	// ForceScalar refuses the lane backend for batches even when the
-	// protocol is lane-capable.
-	ForceScalar bool
 }
 
 // BackendStats are one backend's cumulative counters.
@@ -132,7 +128,7 @@ type BackendStats struct {
 	Runs   int64 `json:"runs"`
 	Trials int64 `json:"trials"`
 	// Fallbacks counts batch dispatches that wanted the lane engine but
-	// ran scalar (non-uniform protocol, observer, per-node, forced).
+	// ran scalar (non-uniform protocol, observer, per-node, caller engine).
 	Fallbacks int64 `json:"fallbacks"`
 	// PoolHits/PoolMisses count pooled-engine checkouts served from the
 	// pool (per graph for scalar engines, the graph-agnostic free list
@@ -231,18 +227,15 @@ func Classify(req *Request) Backend {
 // ClassifyBatch reports the backend a trial batch of req executes on:
 // the lane engine when the protocol declares a fully uniform schedule
 // over the round budget and nothing scalar-only (observer, per-node,
-// ForceScalar) is requested; the scalar engine otherwise.
+// caller engine) is requested; the scalar engine otherwise.
 func ClassifyBatch(req *Request) Backend {
 	if req.Schedule != nil {
 		return BackendSchedule
 	}
-	if req.ForceScalar || req.PerNode || req.Observer != nil || req.Engine != nil {
-		return BackendScalar
+	if _, ok := batchPlan(req); ok {
+		return BackendLanes
 	}
-	if _, ok := lanes.NewPlan(req.Protocol, req.MaxRounds); !ok {
-		return BackendScalar
-	}
-	return BackendLanes
+	return BackendScalar
 }
 
 // Run executes one trial of req and returns the full Result. Schedules
@@ -356,7 +349,7 @@ func (x *Executor) RunSeeds(ctx context.Context, req *Request, seeds []uint64, o
 	if len(seeds) == 0 {
 		return ClassifyBatch(req), nil
 	}
-	if plan, ok := x.batchPlan(req); ok {
+	if plan, ok := batchPlan(req); ok {
 		x.c[BackendLanes].runs.Add(1)
 		x.c[BackendLanes].trials.Add(int64(len(seeds)))
 		return BackendLanes, x.runLanes(ctx, req, plan, seeds, out)
@@ -470,8 +463,8 @@ func (x *Executor) IdleLaneEngines() int {
 
 // batchPlan returns the lane plan for a batch of req, if lanes are the
 // classified backend.
-func (x *Executor) batchPlan(req *Request) (*lanes.Plan, bool) {
-	if req.ForceScalar || req.PerNode || req.Observer != nil || req.Engine != nil {
+func batchPlan(req *Request) (*lanes.Plan, bool) {
+	if req.PerNode || req.Observer != nil || req.Engine != nil {
 		return nil, false
 	}
 	return lanes.NewPlan(req.Protocol, req.MaxRounds)
@@ -644,7 +637,7 @@ func (x *Executor) Open(req *Request) *Session {
 	s.req.Sources = append([]int32(nil), req.Sources...)
 	s.req.Pool = false // session engines are owned, never pooled
 	if s.req.Schedule == nil {
-		s.plan, _ = x.batchPlan(&s.req)
+		s.plan, _ = batchPlan(&s.req)
 	}
 	return s
 }

@@ -90,10 +90,9 @@ func TestClassify(t *testing.T) {
 	}
 
 	for name, mutate := range map[string]func(*exec.Request){
-		"force-scalar": func(r *exec.Request) { r.ForceScalar = true },
-		"per-node":     func(r *exec.Request) { r.PerNode = true },
-		"observer":     func(r *exec.Request) { r.Observer = &trace.Counters{} },
-		"engine":       func(r *exec.Request) { r.Engine = radio.NewEngine(g, 0, radio.StrictInformed) },
+		"per-node": func(r *exec.Request) { r.PerNode = true },
+		"observer": func(r *exec.Request) { r.Observer = &trace.Counters{} },
+		"engine":   func(r *exec.Request) { r.Engine = radio.NewEngine(g, 0, radio.StrictInformed) },
 	} {
 		req := protoReq(g)
 		mutate(req)
@@ -303,7 +302,7 @@ func TestCancelMidRun(t *testing.T) {
 		t.Errorf("lane RunSeeds under canceled ctx: err = %v, want ErrCanceled", err)
 	}
 	scalarReq := protoReq(g)
-	scalarReq.ForceScalar = true
+	scalarReq.Protocol = &protocols.RoundRobin{N: g.N()}
 	if _, err := x.RunSeeds(ctx, scalarReq, seeds, out); !errors.Is(err, radio.ErrCanceled) {
 		t.Errorf("scalar RunSeeds under canceled ctx: err = %v, want ErrCanceled", err)
 	}
@@ -472,7 +471,7 @@ func TestBadSourcesAreErrors(t *testing.T) {
 			t.Errorf("RunSeeds(sources %v): err = %v, want ErrNoSuchSource", sources, err)
 		}
 		scalar := *req
-		scalar.ForceScalar = true
+		scalar.Protocol = &protocols.RoundRobin{N: g.N()}
 		if _, err := x.RunSeeds(context.Background(), &scalar, seeds, out); !errors.Is(err, radio.ErrNoSuchSource) {
 			t.Errorf("scalar RunSeeds(sources %v): err = %v, want ErrNoSuchSource", sources, err)
 		}
