@@ -104,21 +104,15 @@ func Scorecard(cfg Config) []Check {
 		d := 2 * math.Log(float64(n))
 		rng := xrand.New(cfg.Seed + 53)
 		g := gen.MustConnectedGnp(n, d, rng)
-		// Both protocol comparisons run many trials on the same graph, so
-		// each worker reuses one engine (sweep.RunWith + one exec.Session
-		// per worker) instead of rebuilding graph-sized state per trial.
-		// Results are identical to fresh-engine trials.
-		sessions := func(p radio.Protocol) func() *exec.Session {
-			return func() *exec.Session {
-				return exec.Open(&exec.Request{Graph: g, Sources: []int32{0}, Protocol: p, MaxRounds: 8 * n})
+		timed := func(p radio.Protocol) sweep.Trial {
+			req := &exec.Request{Graph: g, Sources: []int32{0}, Protocol: p, MaxRounds: 8 * n}
+			return func(r *xrand.Rand) float64 {
+				rounds, _ := exec.Time(context.Background(), req, r)
+				return float64(rounds)
 			}
 		}
-		trial := func(r *xrand.Rand, s *exec.Session) float64 {
-			rounds, _ := s.Time(context.Background(), r)
-			return float64(rounds)
-		}
-		paper := sweep.RunWith(5, cfg.Seed+54, sessions(core.NewDistributedProtocol(n, d)), trial)
-		decay := sweep.RunWith(5, cfg.Seed+55, sessions(protocols.NewDecay(n)), trial)
+		paper := sweep.Run(5, cfg.Seed+54, timed(core.NewDistributedProtocol(n, d)))
+		decay := sweep.Run(5, cfg.Seed+55, timed(protocols.NewDecay(n)))
 		pass := stats.Median(paper) <= stats.Median(decay)
 		add("E5", "paper protocol ≤ Decay on G(n,p)", pass,
 			"paper median=%.0f decay median=%.0f", stats.Median(paper), stats.Median(decay))
@@ -207,7 +201,7 @@ func Scorecard(cfg Config) []Check {
 		g := gen.MustConnectedGnp(n, d, rng)
 		budget := 100 * n
 		phased := gossip.Time(g, gossip.NewPhased(n, d), budget, rng.Derive(1))
-		rr := gossip.Time(g, gossip.RoundRobin{N: n}, budget, rng.Derive(2))
+		rr := gossip.Time(g, &protocols.RoundRobin{N: n}, budget, rng.Derive(2))
 		pass := phased <= budget && rr <= budget && phased < rr
 		add("E13", "phased gossip beats collision-free round robin", pass,
 			"phased=%d round-robin=%d", phased, rr)
