@@ -24,6 +24,7 @@ import (
 
 	repro "repro"
 	"repro/internal/gossip"
+	"repro/internal/protocols"
 )
 
 func main() {
@@ -41,8 +42,8 @@ func main() {
 		p    repro.Protocol
 	}{
 		{"phased (Thm 7 style)", gossip.NewPhased(n, d)},
-		{"uniform 1/d", gossip.Uniform{Q: 1 / d}},
-		{"round robin", gossip.RoundRobin{N: n}},
+		{"uniform 1/d", &protocols.Aloha{P: 1 / d}},
+		{"round robin", &protocols.RoundRobin{N: n}},
 	} {
 		res := repro.GossipWith(g, entry.p, budget, repro.NewRand(17))
 		status := fmt.Sprintf("complete in %d rounds", res.Rounds)

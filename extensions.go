@@ -28,8 +28,8 @@ func NewPhasedGossip(n int, d float64) Protocol {
 
 // GossipWith runs all-to-all rumor dissemination on g under an arbitrary
 // protocol — any Protocol gossips, with every node informed at round 0;
-// see internal/gossip for the stock protocols (RoundRobin, Uniform,
-// NewPhased). A UniformProtocol's uniform rounds take the sampled fast
+// see internal/gossip (NewPhased) and internal/protocols (RoundRobin,
+// Aloha) for the stock protocols. A UniformProtocol's uniform rounds take the sampled fast
 // path.
 // Optional observers receive one RoundRecord per round (Successes = clean
 // receptions, NewlyInformed = nodes that completed their rumor set this

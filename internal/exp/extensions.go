@@ -11,6 +11,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/gossip"
 	"repro/internal/lower"
+	"repro/internal/protocols"
 	"repro/internal/radio"
 	"repro/internal/stats"
 	"repro/internal/sweep"
@@ -57,8 +58,8 @@ func runE13(cfg Config) []*table.Table {
 			return stats.Median(samples)
 		}
 		phased := mk(gossip.NewPhased(n, d), 0)
-		uniform := mk(gossip.Uniform{Q: 1 / d}, 1)
-		rr := mk(gossip.RoundRobin{N: n}, 2)
+		uniform := mk(&protocols.Aloha{P: 1 / d}, 1)
+		rr := mk(&protocols.RoundRobin{N: n}, 2)
 		ln2 := math.Log(float64(n)) * math.Log(float64(n))
 		t.AddRow(n, d, phased, uniform, rr, phased/ln2)
 	}

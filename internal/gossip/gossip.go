@@ -10,20 +10,19 @@
 // transmission iff exactly one of its neighbours transmits, and transmit
 // sets come from its transmitter chooser, so any radio.Protocol gossips.
 //
-// The package provides the simulation engine plus three protocols:
-//
-//   - RoundRobin: node v transmits alone in rounds ≡ v (mod n);
-//     collision-free, completes in ≤ n·D rounds on any connected graph.
-//   - Uniform(q): every node transmits with probability q each round (the
-//     gossip analogue of the paper's 1/d-selective rounds).
-//   - NewPhased: flooding for the first few rounds (spread the union fast
-//     in sparse neighbourhoods), then Uniform(1/d) — the direct adaptation
-//     of the paper's Theorem 7 protocol to gossiping.
-//
-// Experiment E13 measures these on G(n,p): random-graph gossiping with
-// q = 1/d completes in O(n/d + ln n)·polylog-ish time in practice because
-// each clean reception merges whole rumor sets; the experiment records
-// the measured shape.
+// The package provides the simulation engine plus NewPhased: flooding
+// for the first few rounds (spread the union fast in sparse
+// neighbourhoods), then every node transmits with probability 1/d — the
+// direct adaptation of the paper's Theorem 7 protocol to gossiping.
+// Any broadcast protocol gossips unchanged; experiment E13 compares
+// NewPhased on G(n,p) with two from package protocols: RoundRobin (node
+// v transmits alone in rounds ≡ v (mod n); collision-free, completes in
+// ≤ n·D rounds on any connected graph) and Aloha (every node transmits
+// with probability q each round, the gossip analogue of the paper's
+// 1/d-selective rounds). Random-graph gossiping with q = 1/d completes
+// in O(n/d + ln n)·polylog-ish time in practice because each clean
+// reception merges whole rumor sets; the experiment records the
+// measured shape.
 package gossip
 
 import (
@@ -37,30 +36,9 @@ import (
 	"repro/internal/xrand"
 )
 
-// RoundRobin is the collision-free deterministic baseline.
-type RoundRobin struct{ N int }
-
-// Transmit implements radio.Protocol.
-func (r RoundRobin) Transmit(v int32, round int, informedAt int32, rng *xrand.Rand) bool {
-	return int32((round-1)%r.N) == v
-}
-
-// Uniform transmits with a fixed probability every round.
-type Uniform struct{ Q float64 }
-
-// Transmit implements radio.Protocol.
-func (u Uniform) Transmit(v int32, round int, informedAt int32, rng *xrand.Rand) bool {
-	return rng.Bernoulli(u.Q)
-}
-
-// RoundProb implements radio.UniformProtocol: every round is uniform at Q.
-func (u Uniform) RoundProb(round int) (float64, radio.Cohort, bool) {
-	return u.Q, radio.AllInformed, true
-}
-
 // NewPhased returns the phased gossip protocol sized for a graph with n
 // nodes and expected degree d: flood for ~log_d n rounds, mirroring
-// NewDistributedProtocol's phase lengths, then behave like Uniform(1/d) —
+// NewDistributedProtocol's phase lengths, then behave like Aloha at 1/d —
 // the gossiping analogue of the paper's distributed broadcast protocol.
 func NewPhased(n int, d float64) protocols.Phased {
 	if d < 2 {

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/protocols"
 	"repro/internal/radio"
 	"repro/internal/trace"
 	"repro/internal/xrand"
@@ -26,7 +27,7 @@ func TestRoundRobinGossipCompletes(t *testing.T) {
 	g := connected(t, n, 8, 1)
 	rng := xrand.New(2)
 	diam := graph.Diameter(g)
-	res := Run(g, RoundRobin{N: n}, n*(diam+2), rng)
+	res := Run(g, &protocols.RoundRobin{N: n}, n*(diam+2), rng)
 	if !res.Completed {
 		t.Fatalf("round-robin gossip incomplete: min known %d", res.MinKnown)
 	}
@@ -40,7 +41,7 @@ func TestUniformGossipCompletesOnGnp(t *testing.T) {
 	d := 2 * math.Log(n)
 	g := connected(t, n, d, 3)
 	rng := xrand.New(4)
-	res := Run(g, Uniform{Q: 1 / d}, 100000, rng)
+	res := Run(g, &protocols.Aloha{P: 1 / d}, 100000, rng)
 	if !res.Completed {
 		t.Fatalf("uniform gossip incomplete: min known %d/%d", res.MinKnown, n)
 	}
@@ -51,7 +52,7 @@ func TestPhasedGossipCompletesAndBeatsRoundRobin(t *testing.T) {
 	d := 2 * math.Log(n)
 	g := connected(t, n, d, 5)
 	phased := Time(g, NewPhased(n, d), 100000, xrand.New(6))
-	rr := Time(g, RoundRobin{N: n}, 100000, xrand.New(7))
+	rr := Time(g, &protocols.RoundRobin{N: n}, 100000, xrand.New(7))
 	if phased > 100000 || rr > 100000 {
 		t.Fatalf("incomplete: phased=%d rr=%d", phased, rr)
 	}
@@ -67,7 +68,7 @@ func TestGossipOnCompleteGraph(t *testing.T) {
 	const n = 20
 	g := gen.Complete(n)
 	rng := xrand.New(8)
-	res := Run(g, RoundRobin{N: n}, 5*n, rng)
+	res := Run(g, &protocols.RoundRobin{N: n}, 5*n, rng)
 	if !res.Completed {
 		t.Fatal("incomplete on K_n")
 	}
@@ -82,7 +83,7 @@ func TestGossipFloodingStalls(t *testing.T) {
 	const n = 200
 	g := connected(t, n, 12, 9)
 	rng := xrand.New(10)
-	res := Run(g, Uniform{Q: 1}, 500, rng)
+	res := Run(g, &protocols.Aloha{P: 1}, 500, rng)
 	if res.Completed {
 		t.Fatal("permanent flooding should not complete gossip")
 	}
@@ -91,7 +92,7 @@ func TestGossipFloodingStalls(t *testing.T) {
 func TestGossipPathSmall(t *testing.T) {
 	g := gen.Path(5)
 	rng := xrand.New(11)
-	res := Run(g, RoundRobin{N: 5}, 200, rng)
+	res := Run(g, &protocols.RoundRobin{N: 5}, 200, rng)
 	if !res.Completed {
 		t.Fatalf("path gossip incomplete: %+v", res)
 	}
@@ -105,11 +106,11 @@ func TestGossipPathSmall(t *testing.T) {
 
 func TestGossipSingletonAndEmpty(t *testing.T) {
 	rng := xrand.New(12)
-	res := Run(graph.NewBuilder(1).Build(), RoundRobin{N: 1}, 10, rng)
+	res := Run(graph.NewBuilder(1).Build(), &protocols.RoundRobin{N: 1}, 10, rng)
 	if !res.Completed || res.Rounds != 0 {
 		t.Fatalf("singleton gossip: %+v", res)
 	}
-	res = Run(graph.NewBuilder(0).Build(), RoundRobin{N: 1}, 10, rng)
+	res = Run(graph.NewBuilder(0).Build(), &protocols.RoundRobin{N: 1}, 10, rng)
 	if !res.Completed {
 		t.Fatalf("empty gossip: %+v", res)
 	}
@@ -119,7 +120,7 @@ func TestTimeSentinel(t *testing.T) {
 	b := graph.NewBuilder(2) // disconnected: can never complete
 	g := b.Build()
 	rng := xrand.New(13)
-	if got := Time(g, RoundRobin{N: 2}, 10, rng); got != 11 {
+	if got := Time(g, &protocols.RoundRobin{N: 2}, 10, rng); got != 11 {
 		t.Fatalf("sentinel = %d", got)
 	}
 }
@@ -146,8 +147,8 @@ func TestKnowledgeMonotone(t *testing.T) {
 	rng := xrand.New(15)
 	// Run twice with the same seed but different budgets: the longer run
 	// must dominate the shorter in KnownTotal.
-	short := Run(g, Uniform{Q: 0.1}, 20, xrand.New(16))
-	long := Run(g, Uniform{Q: 0.1}, 40, xrand.New(16))
+	short := Run(g, &protocols.Aloha{P: 0.1}, 20, xrand.New(16))
+	long := Run(g, &protocols.Aloha{P: 0.1}, 40, xrand.New(16))
 	if long.KnownTotal < short.KnownTotal {
 		t.Fatalf("knowledge decreased: %d -> %d", short.KnownTotal, long.KnownTotal)
 	}
@@ -333,15 +334,15 @@ func TestGossipDeterministic(t *testing.T) {
 	const n = 200
 	d := 2 * math.Log(n)
 	g := connected(t, n, d, 11)
-	protocols := map[string]radio.Protocol{
-		"round-robin": RoundRobin{N: n},  // deterministic per-node path
-		"uniform":     Uniform{Q: 1 / d}, // sampled fast path
-		"phased":      NewPhased(n, d),   // sampled fast path, two regimes
+	protos := map[string]radio.Protocol{
+		"round-robin": &protocols.RoundRobin{N: n}, // deterministic per-node path
+		"uniform":     &protocols.Aloha{P: 1 / d},  // sampled fast path
+		"phased":      NewPhased(n, d),             // sampled fast path, two regimes
 		"per-node": radio.ProtocolFunc(func(v int32, round int, informedAt int32, rng *xrand.Rand) bool {
 			return rng.Bernoulli(1 / d) // forced per-node path
 		}),
 	}
-	for name, p := range protocols {
+	for name, p := range protos {
 		var r1, r2 trace.Recorder
 		a := RunObserved(g, p, 5000, xrand.New(42), &r1)
 		b := RunObserved(g, p, 5000, xrand.New(42), &r2)

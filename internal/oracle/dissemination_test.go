@@ -18,6 +18,7 @@ import (
 	"repro/internal/gossip"
 	"repro/internal/graph"
 	"repro/internal/pipeline"
+	"repro/internal/protocols"
 	"repro/internal/radio"
 	"repro/internal/trace"
 	"repro/internal/xrand"
@@ -114,9 +115,9 @@ func randomGossipProtocol(crng *xrand.Rand, n int) (radio.Protocol, string) {
 	d := 2 + crng.Float64()*10
 	switch crng.Intn(4) {
 	case 0:
-		return gossip.RoundRobin{N: n}, "roundrobin"
+		return &protocols.RoundRobin{N: n}, "roundrobin"
 	case 1:
-		return radio.ProtocolFunc(gossip.Uniform{Q: 1 / d}.Transmit), "uniform"
+		return radio.ProtocolFunc((&protocols.Aloha{P: 1 / d}).Transmit), "uniform"
 	case 2:
 		return radio.ProtocolFunc(gossip.NewPhased(n, d).Transmit), "phased"
 	default:
