@@ -88,20 +88,31 @@ results-check:
 verify:
 	go run ./cmd/experiments -verify -seed 2006
 
-# Kill-and-resume smoke test of the campaign runner: run a tiny campaign
-# to completion, then re-run it interrupted after 3 samples and resume
-# from the checkpoint — the two -json reports must be byte-identical, and
-# the offline `campaign report` must agree.
+# Kill-and-resume smoke test of the campaign runner, on the scalar
+# `smoke` grid and on the all-lane `lane-smoke` grid (70 trials a point,
+# so a point spans two lane blocks and the resume re-blocks a partly run
+# point): run each campaign to completion, then re-run it interrupted
+# after 3 samples and resume from the checkpoint — the two -json reports
+# must be byte-identical, and the offline `campaign report` must agree.
 campaign-smoke:
 	rm -rf /tmp/campaign-smoke && mkdir -p /tmp/campaign-smoke
-	go run ./cmd/campaign spec -preset smoke -seed 2006 > /tmp/campaign-smoke/spec.json
-	go run ./cmd/campaign run -spec /tmp/campaign-smoke/spec.json -out /tmp/campaign-smoke/full -quiet -json > /tmp/campaign-smoke/full.json
-	go run ./cmd/campaign run -spec /tmp/campaign-smoke/spec.json -out /tmp/campaign-smoke/ck -halt-after 3 -quiet -json > /tmp/campaign-smoke/partial.json
-	go run ./cmd/campaign run -spec /tmp/campaign-smoke/spec.json -out /tmp/campaign-smoke/ck -resume -quiet -json > /tmp/campaign-smoke/resumed.json
-	cmp /tmp/campaign-smoke/full.json /tmp/campaign-smoke/resumed.json
-	go run ./cmd/campaign report -out /tmp/campaign-smoke/ck -json > /tmp/campaign-smoke/offline.json
-	cmp /tmp/campaign-smoke/full.json /tmp/campaign-smoke/offline.json
+	go build -o /tmp/campaign-smoke/campaign ./cmd/campaign
+	$(call campaign_smoke,smoke,)
+	$(call campaign_smoke,lane-smoke,-trials 70)
 	@echo "campaign-smoke: resume converged to the uninterrupted report"
+
+# campaign_smoke runs preset $(1) (extra spec flags $(2)) through the
+# full / -halt-after 3 / -resume / offline report sequence.
+define campaign_smoke
+	mkdir -p /tmp/campaign-smoke/$(1)
+	/tmp/campaign-smoke/campaign spec -preset $(1) -seed 2006 $(2) > /tmp/campaign-smoke/$(1)/spec.json
+	/tmp/campaign-smoke/campaign run -spec /tmp/campaign-smoke/$(1)/spec.json -out /tmp/campaign-smoke/$(1)/full -quiet -json > /tmp/campaign-smoke/$(1)/full.json
+	/tmp/campaign-smoke/campaign run -spec /tmp/campaign-smoke/$(1)/spec.json -out /tmp/campaign-smoke/$(1)/ck -halt-after 3 -quiet -json > /tmp/campaign-smoke/$(1)/partial.json
+	/tmp/campaign-smoke/campaign run -spec /tmp/campaign-smoke/$(1)/spec.json -out /tmp/campaign-smoke/$(1)/ck -resume -quiet -json > /tmp/campaign-smoke/$(1)/resumed.json
+	cmp /tmp/campaign-smoke/$(1)/full.json /tmp/campaign-smoke/$(1)/resumed.json
+	/tmp/campaign-smoke/campaign report -out /tmp/campaign-smoke/$(1)/ck -json > /tmp/campaign-smoke/$(1)/offline.json
+	cmp /tmp/campaign-smoke/$(1)/full.json /tmp/campaign-smoke/$(1)/offline.json
+endef
 
 # End-to-end smoke test of the radiosimd daemon: build the binary, boot
 # it on a random port, fire a run, a JSONL stream and a metrics scrape

@@ -267,3 +267,41 @@ func TestShardLeaseRejectsMalformedOffers(t *testing.T) {
 		}
 	}
 }
+
+// TestShardLeaseRejectsStaleLanesField: lease offers no longer carry an
+// engine setting — the spec alone fixes which engine runs each point —
+// so an offer from a stale coordinator that still sends "lanes" is
+// refused with 400 rather than run under an engine the worker did not
+// choose.
+func TestShardLeaseRejectsStaleLanesField(t *testing.T) {
+	fc := newFakeCoordinator(t)
+	_, ts := newTestServer(t, Config{ShardWorkers: 1})
+	b, err := json.Marshal(offerFor(shardSpec(), fc.ts.URL, 1000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var offer map[string]any
+	if err := json.Unmarshal(b, &offer); err != nil {
+		t.Fatal(err)
+	}
+	offer["lanes"] = 1
+	resp := postJSON(t, ts.URL+"/v1/shard/lease", offer)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("offer with a lanes field: status %d, want 400", resp.StatusCode)
+	}
+	delete(offer, "lanes")
+	resp = postJSON(t, ts.URL+"/v1/shard/lease", offer)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("the same offer without lanes: status %d, want 200", resp.StatusCode)
+	}
+	select {
+	case res := <-fc.results:
+		if res.Error != "" || len(res.Samples) != 3 {
+			t.Fatalf("shard result: error %q, %d samples, want 3 samples", res.Error, len(res.Samples))
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("accepted shard never posted a result")
+	}
+}
